@@ -59,8 +59,9 @@ chooseBatch(int scenarioCount)
             std::chrono::steady_clock::now() - t0)
             .count() /
         2.0;
-    // Noisy scenarios take the scalar path (~25x a clean image);
-    // budget ~120 s for the sweep assuming roughly half are noisy.
+    // Read-noise scenarios cost a few times a clean image (one noise
+    // draw per sampled column per read); budget ~120 s for the sweep
+    // assuming roughly half are noisy.
     constexpr double kBudgetSecs = 120.0;
     const double perScenario =
         kBudgetSecs / static_cast<double>(scenarioCount);
@@ -70,7 +71,7 @@ chooseBatch(int scenarioCount)
 }
 
 void
-writeJson(const campaign::Report &report)
+writeJson(const campaign::Report &report, double wallS)
 {
     std::FILE *f = std::fopen("BENCH_campaign.json", "w");
     if (!f) {
@@ -80,6 +81,14 @@ writeJson(const campaign::Report &report)
     }
     core::JsonObject root;
     root.field("bench", "campaign");
+    // Wall time of the default-suite sweep (Runner::run alone: batch
+    // sizing and report printing excluded) and the report's content
+    // hash in hex, so a CI log shows speed and determinism together.
+    root.field("suite_wall_s", wallS);
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(report.contentHash()));
+    root.field("fingerprint", hash);
     root.raw("campaign", report.toJson());
     const std::string text = root.str();
     std::fwrite(text.data(), 1, text.size(), f);
@@ -88,7 +97,7 @@ writeJson(const campaign::Report &report)
 }
 
 void
-printStudy(const campaign::Report &report)
+printStudy(const campaign::Report &report, double wallS)
 {
     std::printf("=== Monte Carlo fault-injection campaign "
                 "(%s, %d scenarios, batch %d) ===\n\n",
@@ -100,9 +109,10 @@ printStudy(const campaign::Report &report)
                 report.cleanAgreementMin(), report.cleanMaxRel());
     std::printf("pareto frontier: %zu scenario(s)\n",
                 report.paretoFrontier.size());
-    std::printf("determinism fingerprint: %016llx\n\n",
-                static_cast<unsigned long long>(
-                    report.contentHash()));
+    std::printf("determinism fingerprint: %016llx (suite wall time "
+                "%.1f s)\n\n",
+                static_cast<unsigned long long>(report.contentHash()),
+                wallS);
 
     std::printf("%-10s %-8s %-7s %10s %10s %12s\n", "stuck", "mode",
                 "spares", "agreement", "max rel",
@@ -162,9 +172,13 @@ runCampaignStudy()
     campaign::RunnerOptions opts;
     opts.batch = chooseBatch(scenarioCount);
     const campaign::Runner runner("tinycnn", kMasterSeed, opts);
+    const auto t0 = std::chrono::steady_clock::now();
     const auto report = runner.run(suite);
-    printStudy(report);
-    writeJson(report);
+    const double wallS = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    printStudy(report, wallS);
+    writeJson(report, wallS);
 }
 
 } // namespace

@@ -16,6 +16,24 @@ cmake -B build -S . >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+echo "== ten slowest tests (ctest cost data) =="
+# Tier-1 is meant to run on every change; keep its slowest cases in
+# view so a new quadratic hot spot shows up in the log, not just in
+# the wall clock. CTestCostData.txt lists "name runs avg-seconds" per
+# test, then a "---" line and the failed tests.
+python3 - <<'EOF'
+rows = []
+with open("build/Testing/Temporary/CTestCostData.txt") as f:
+    for line in f:
+        if line.startswith("---"):
+            break
+        parts = line.split()
+        if len(parts) == 3:
+            rows.append((float(parts[2]), parts[0]))
+for cost, name in sorted(rows, reverse=True)[:10]:
+    print("%8.2f s  %s" % (cost, name))
+EOF
+
 echo "== static layout audit: false-sharing padding =="
 # tests/common/test_layout.cc is a wall of static_asserts on the
 # cache-line geometry of the hot shared structures (EpochLog slots,
@@ -150,6 +168,8 @@ print("campaign: %d scenarios, zero-noise min agreement %.4f "
       "(max rel err %g), pareto frontier %d" %
       (camp["scenario_count"], zero["min_agreement"],
        zero["max_rel_err"], len(camp["pareto_frontier"])))
+print("campaign: determinism fingerprint %s, default suite %.1f s wall"
+      % (bench["fingerprint"], bench["suite_wall_s"]))
 if camp["scenario_count"] < 500:
     raise SystemExit(
         "campaign gate FAILED: only %d scenarios (gate: >= 500)"

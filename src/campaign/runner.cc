@@ -142,16 +142,25 @@ Runner::evaluate(const Scenario &s) const
     if (s.driftPerOp > 0.0 && s.driftAge > 0)
         model.ageArrays(s.driftAge);
 
-    serve::SessionOptions so;
-    so.queueDepth = _inputs.size();
-    so.workers = 1;
-    so.defaultDeadline = _opts.scenarioDeadline;
-    serve::InferenceSession session(model, so);
+    // Serve the batch on this thread in every calling context. Inside
+    // a parallel region (Runner::run's scenario loop) the session
+    // spawns no pump and drain() steps the images round-robin here;
+    // a one-item parallelFor opens such a region for callers outside
+    // one, which would otherwise split the images between a pool
+    // pump and the draining caller and hand the engines' op numbers
+    // (and so the read-noise draws) out in timing order.
     std::vector<std::future<std::vector<nn::Tensor>>> futs;
     futs.reserve(_inputs.size());
-    for (const auto &input : _inputs)
-        futs.push_back(session.submitAll(input));
-    session.drain();
+    parallelFor(1, 1, [&](std::int64_t, int) {
+        serve::SessionOptions so;
+        so.queueDepth = _inputs.size();
+        so.workers = 1;
+        so.defaultDeadline = _opts.scenarioDeadline;
+        serve::InferenceSession session(model, so);
+        for (const auto &input : _inputs)
+            futs.push_back(session.submitAll(input));
+        session.drain();
+    });
 
     std::vector<double> sumRel;
     std::vector<std::uint64_t> relCount;

@@ -105,16 +105,19 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
     const std::int64_t windows =
         static_cast<std::int64_t>(l.outNx()) * l.outNy();
     const auto &shared = engines[layerIdx][0];
-    if (!l.privateKernel && windows > 1 &&
-        shared->config().batchWindows && shared->fastPathActive()) {
+    if (!l.privateKernel && windows > 1) {
         // Batched layer execution: stage every window's input vector
         // once, then stream the whole layer through one
-        // dotProductBatch() call — the engine packs each (phase, row
-        // segment)'s digit planes into a single plane-major
-        // bit-matrix and evaluates all windows per tile in one
-        // popcount GEMM. Bit-identical results and counters to the
-        // per-window loop below (tests assert it), minus thousands
-        // of per-window staging/dispatch round trips.
+        // dotProductBatch() call — on the packed tier the engine
+        // packs each (phase, row segment)'s digit planes into a
+        // single plane-major bit-matrix and evaluates all windows per
+        // tile in one popcount GEMM, minus thousands of per-window
+        // staging/dispatch round trips. The call claims the layer's
+        // op numbers as one contiguous range in window order, so
+        // read-noise and drift realizations do not depend on which
+        // thread reached the engine first; results and counters are
+        // bit-identical to a serial per-window loop (tests assert
+        // it).
         const int len = shared->numInputs();
         std::vector<Word> staged(
             static_cast<std::size_t>(windows) * len);
@@ -145,14 +148,9 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
             });
         return out;
     }
-    // dotProduct() is concurrency-safe, so windows of a layer can be
-    // issued in parallel even against a shared engine (exactly as
-    // replicated IMAs pipeline windows in hardware). Sharing the
-    // engine also shares its per-tile digit-vector memo: overlapping
-    // windows and repeated batch images present recurring digit
-    // vectors (sign-extended high phases above all, since quantized
-    // activations rarely fill 16 bits), and those replay cached
-    // readings instead of re-simulating the crossbar.
+    // One window, or one private engine per window: each engine
+    // sees one operation per image, so issuing the windows in
+    // parallel cannot reorder any engine's op numbers.
     parallelFor(windows, cfg.threads(), [&](std::int64_t window, int) {
         const int ox = static_cast<int>(window / l.outNy());
         const int oy = static_cast<int>(window % l.outNy());

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "common/types.h"
 
@@ -46,6 +47,14 @@ struct Trace
  * A resource with a fixed number of slots per cycle (an eDRAM with N
  * banks, a bus, a pair of sigmoid units). reserve() books the
  * earliest free slot at or after the requested cycle.
+ *
+ * Full cycles form a next-free-cycle skip map (union-find with path
+ * compression): each full cycle points at a later cycle that was
+ * free when last looked at, so a request landing in a long backlog
+ * skips it in near-constant amortized time instead of probing it
+ * cycle by cycle. Once more than 2^20 cycles hold bookings, those
+ * more than 2^18 cycles behind the latest booking are forgotten (and
+ * so count as free again), bounding memory on long runs.
  */
 class SlotResource
 {
@@ -59,8 +68,18 @@ class SlotResource
     std::uint64_t totalReservations() const { return reservations; }
 
   private:
+    /** Bookings of one cycle; `next` is meaningful once it is full:
+     *  a later cycle to resume the free-slot search from. */
+    struct Booked
+    {
+        int count = 0;
+        Cycle next = 0;
+    };
+
     int slots;
-    std::map<Cycle, int> used;
+    std::map<Cycle, Booked> used;
+    /** Path-compression scratch (full cycles walked by one search). */
+    std::vector<std::map<Cycle, Booked>::iterator> path;
     std::uint64_t reservations = 0;
 };
 

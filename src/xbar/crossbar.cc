@@ -155,6 +155,8 @@ Acc
 CrossbarArray::applyReadNoise(Acc sum, std::uint64_t seq,
                               int col) const
 {
+    if (!noise.readNoiseEnabled())
+        return sum;
     // One Gaussian draw from an Rng seeded purely by
     // (seed, seq, col): reproducible under any thread interleaving.
     Rng rng(noise.seed +
@@ -177,12 +179,10 @@ CrossbarArray::readBitline(int col, std::span<const int> inputs) const
         return bitlineSum(col, inputs);
     const std::uint64_t seq =
         _noiseSeq.fetch_add(1, std::memory_order_relaxed);
-    Acc sum = noise.driftEnabled()
+    const Acc sum = noise.driftEnabled()
         ? driftedBitlineSum(col, inputs, seq)
         : bitlineSum(col, inputs);
-    if (noise.readNoiseEnabled())
-        sum = applyReadNoise(sum, seq, col);
-    return sum;
+    return applyReadNoise(sum, seq, col);
 }
 
 std::vector<Acc>
@@ -219,14 +219,12 @@ CrossbarArray::readAllBitlinesInto(std::span<const int> inputs,
         fatal("CrossbarArray::readAllBitlines: more inputs than rows");
     _readCycles.fetch_add(1, std::memory_order_relaxed);
     out.resize(static_cast<std::size_t>(_cols));
-    const bool noisy = noise.readNoiseEnabled();
     const bool drifty = noise.driftEnabled();
     for (int c = 0; c < _cols; ++c) {
-        Acc sum = drifty ? driftedBitlineSum(c, inputs, driftTime)
-                         : bitlineSum(c, inputs);
-        if (noisy)
-            sum = applyReadNoise(sum, noiseSeq, c);
-        out[static_cast<std::size_t>(c)] = sum;
+        const Acc sum = drifty ? driftedBitlineSum(c, inputs, driftTime)
+                               : bitlineSum(c, inputs);
+        out[static_cast<std::size_t>(c)] =
+            applyReadNoise(sum, noiseSeq, c);
     }
 }
 
@@ -279,8 +277,8 @@ CrossbarArray::readAllBitlinesPacked(
               "span does not match the array geometry");
     }
     if (!packedReadExact()) {
-        fatal("CrossbarArray::readAllBitlinesPacked: array has read "
-              "noise or drift configured; use readAllBitlines");
+        fatal("CrossbarArray::readAllBitlinesPacked: array has drift "
+              "configured; use readAllBitlines");
     }
     const std::uint64_t *planes = ensurePlanes();
     _readCycles.fetch_add(1, std::memory_order_relaxed);
@@ -308,7 +306,7 @@ CrossbarArray::readAllBitlinesPackedBatch(
     }
     if (!packedReadExact()) {
         fatal("CrossbarArray::readAllBitlinesPackedBatch: array has "
-              "read noise or drift configured; use readAllBitlines");
+              "drift configured; use readAllBitlines");
     }
     const std::uint64_t *planes = ensurePlanes();
     out.resize(static_cast<std::size_t>(_cols) * n);

@@ -120,16 +120,26 @@ class CrossbarArray
     int planeWords() const { return (_rows + 63) / 64; }
 
     /**
-     * True when the packed bit-plane read is bit-exact for this
-     * array: no read noise and no drift configured. Write noise and
+     * True when the packed bit-plane read yields this array's exact
+     * noise-free bitline sums: no drift configured. Write noise and
      * stuck cells only shape the *stored* levels, which the planes
-     * capture, so they do not disqualify the packed path.
+     * capture, so they do not disqualify the packed path. Read noise
+     * does not either: it is one counter-keyed draw per (sequence,
+     * column) added to the clean sum, so a packed caller reproduces
+     * the scalar read by passing each column it samples through
+     * applyReadNoise() with the scalar read's sequence number.
      */
-    bool
-    packedReadExact() const
-    {
-        return !noise.readNoiseEnabled() && !noise.driftEnabled();
-    }
+    bool packedReadExact() const { return !noise.driftEnabled(); }
+
+    /**
+     * The read-noise step of readAllBitlines(): `sum` (a clean
+     * bitline sum of column `col`) plus one Gaussian draw of sigma
+     * sigmaLsb keyed purely by (seed, seq, col), clamped at 0. A
+     * no-op when read noise is off. Because each draw depends only
+     * on its own key, a caller that samples a subset of the columns
+     * may skip the rest and still match a scalar read bit for bit.
+     */
+    Acc applyReadNoise(Acc sum, std::uint64_t seq, int col) const;
 
     /**
      * One packed crossbar read cycle: every bitline current computed
@@ -138,7 +148,9 @@ class CrossbarArray
      * readAllBitlines() against the same input digits (the caller
      * packs digit bit j of row r into bit r of digitPlanes[j]; rows
      * beyond the input vector must be zero). `digitPlanes` holds
-     * digitBits planes of planeWords() words each. fatal()s unless
+     * digitBits planes of planeWords() words each. The sums carry no
+     * read noise even when it is configured: the caller adds it per
+     * sampled column with applyReadNoise(). fatal()s unless
      * packedReadExact(). Thread-safe against other reads; the planes
      * are rebuilt lazily after any program()/forceStuck()/setNoise().
      */
@@ -153,11 +165,11 @@ class CrossbarArray
      * bit-matrix dig[(j * planeWords() + w) * n + i] (window index i
      * innermost); `out` is resized to cols() * n with window i's
      * reading of column c at out[c * n + i], bit-identical to n
-     * readAllBitlinesPacked() calls. Unlike the single-vector read
-     * this does NOT count read cycles: the engine charges one cycle
-     * per logical read *attempt* per window (chargeReadCycles), which
-     * keeps readCycles() exact under ABFT retries. fatal()s unless
-     * packedReadExact().
+     * readAllBitlinesPacked() calls (noise-free, like them). Unlike
+     * the single-vector read this does NOT count read cycles: the
+     * engine charges one cycle per logical read *attempt* per window
+     * (chargeReadCycles), which keeps readCycles() exact under ABFT
+     * retries. fatal()s unless packedReadExact().
      */
     void readAllBitlinesPackedBatch(
         std::span<const std::uint64_t> digitPlanes, int digitBits,
@@ -256,7 +268,6 @@ class CrossbarArray
                                std::uint64_t epoch) const;
     /** Lazily build the epoch-0 susceptibility table. */
     const double *ensureSusceptibility() const;
-    Acc applyReadNoise(Acc sum, std::uint64_t seq, int col) const;
 
     /** Rebuild the packed planes if stale; returns the plane base. */
     const std::uint64_t *ensurePlanes() const;

@@ -306,9 +306,42 @@ BitSerialEngine::reprogram(std::span<const Word> weights)
 bool
 BitSerialEngine::fastPathActive() const
 {
-    return cfg.fastPath && !cfg.noise.readNoiseEnabled() &&
-        !cfg.noise.driftEnabled() &&
+    return cfg.fastPath && !cfg.noise.driftEnabled() &&
         !_injected.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+BitSerialEngine::readSeq(std::uint64_t opSeq, int p, int attempt) const
+{
+    // The noise sequence salts the attempt into the high bits, so an
+    // ABFT re-read draws fresh noise; the drift clock stays pinned to
+    // opSeq — noise excursions are retryable, drifted conductances
+    // are not.
+    return opSeq * static_cast<std::uint64_t>(cfg.phases()) +
+        static_cast<std::uint64_t>(p) +
+        (static_cast<std::uint64_t>(attempt) << 40);
+}
+
+template <typename Fn>
+void
+BitSerialEngine::forEachSampledColumn(const ArrayTile &t, int dataCols,
+                                      bool checking, Fn fn) const
+{
+    for (int c = 0; c <= dataCols; ++c)
+        fn(t.colMap[static_cast<std::size_t>(c)]);
+    if (checking)
+        fn(checksumCol());
+}
+
+void
+BitSerialEngine::addReadNoise(const ArrayTile &t, int dataCols,
+                              bool checking, std::uint64_t seq,
+                              std::vector<Acc> &currents) const
+{
+    forEachSampledColumn(t, dataCols, checking, [&](int c) {
+        Acc &v = currents[static_cast<std::size_t>(c)];
+        v = t.array->applyReadNoise(v, seq, c);
+    });
 }
 
 void
@@ -494,7 +527,6 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
                                  Partial &part) const
 {
     const int slices = cfg.slicesPerWeight();
-    const int phases = cfg.phases();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
 
     const int used = tile(rs, 0).usedRows;
@@ -504,6 +536,10 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
     // it from popcounts. Both produce bit-identical values and
     // counter deltas to the scalar loop below (tests assert it).
     const bool fast = fastPathActive();
+    // Read-noise draws are keyed by the op number, so a memoized
+    // reading of a digit vector is not a replay of the next read.
+    const bool memo = fast && cfg.memoEntries > 0 &&
+        !cfg.noise.readNoiseEnabled();
     if (fast) {
         packDigitPlanes(inputs, p, rs, used, part);
     } else {
@@ -531,22 +567,19 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
         auto &tileTally = part.tileAdc[static_cast<std::size_t>(
             rs * _colSegments + cs)];
         const bool checking = cfg.abftChecksum && t.abftOk;
-        const std::uint64_t baseSeq =
-            opSeq * static_cast<std::uint64_t>(phases) +
-            static_cast<std::uint64_t>(p);
 
         Acc unit = 0;
         bool replayed = false;
-        if (fast && cfg.memoEntries > 0)
+        if (memo)
             replayed = memoReplay(rs, cs, part, unit);
         if (!replayed) {
             const EngineStats statsBefore = part.stats;
             const AdcTally tallyBefore = tileTally;
             const resilience::TransientStats trBefore =
                 part.transient;
-            evalTilePhase(t, dataCols, checking, fast, baseSeq,
-                          opSeq, part, tileTally, unit);
-            if (fast && cfg.memoEntries > 0) {
+            evalTilePhase(t, dataCols, checking, fast, p, opSeq, part,
+                          tileTally, unit);
+            if (memo) {
                 memoInsert(rs, cs, part, unit, statsBefore,
                            tallyBefore, trBefore);
             }
@@ -606,12 +639,11 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
     // every mapped data column (spares the remapper left unused are
     // never sampled); with ABFT active the checksum column is
     // sampled too and the quantized total is verified mod 2^w. A
-    // mismatch triggers a bounded re-read — the scalar read
-    // primitive draws a fresh noise sequence per attempt, the packed
-    // and batched primitives are deterministic — and the retry
-    // decision depends only on the currents readFn supplies, so
-    // every execution path shares this loop and every counter it
-    // touches.
+    // mismatch triggers a bounded re-read — every read primitive
+    // draws a fresh noise sequence per attempt (readSeq) when read
+    // noise is on — and the retry decision depends only on the
+    // currents readFn supplies, so every execution path shares this
+    // loop and every counter it touches.
     //
     // Resolution law: the unit column converts first at the static
     // per-tile bound (its reading is the sum of this cycle's input
@@ -680,32 +712,35 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
 
 void
 BitSerialEngine::evalTilePhase(const ArrayTile &t, int dataCols,
-                               bool checking, bool fast,
-                               std::uint64_t baseSeq,
+                               bool checking, bool fast, int p,
                                std::uint64_t opSeq, Partial &part,
                                AdcTally &tileTally, Acc &unit) const
 {
     if (fast) {
+        // The packed read yields the noise-free sums; the attempt's
+        // draws land on exactly the columns the ladder samples, which
+        // is all a scalar read's draws are observed through.
+        const bool noisy = cfg.noise.readNoiseEnabled();
         evalTileAttempts(
             t, dataCols, checking, part, tileTally, unit,
-            [&](int) -> const std::vector<Acc> & {
+            [&](int attempt) -> const std::vector<Acc> & {
                 t.array->readAllBitlinesPacked(part.digitPlanes,
                                                cfg.dacBits,
                                                part.currents);
+                if (noisy) {
+                    addReadNoise(t, dataCols, checking,
+                                 readSeq(opSeq, p, attempt),
+                                 part.currents);
+                }
                 return part.currents;
             });
     } else {
-        // The noise sequence salts the attempt into the high bits;
-        // the drift clock stays pinned to opSeq — noise excursions
-        // are retryable, drifted conductances are not.
         evalTileAttempts(
             t, dataCols, checking, part, tileTally, unit,
             [&](int attempt) -> const std::vector<Acc> & {
                 t.array->readAllBitlinesInto(
-                    part.digits,
-                    baseSeq +
-                        (static_cast<std::uint64_t>(attempt) << 40),
-                    opSeq, part.currents);
+                    part.digits, readSeq(opSeq, p, attempt), opSeq,
+                    part.currents);
                 return part.currents;
             });
     }
@@ -716,11 +751,16 @@ BitSerialEngine::dotProduct(std::span<const Word> inputs) const
 {
     if (inputs.size() != static_cast<std::size_t>(_numInputs))
         fatal("BitSerialEngine::dotProduct: wrong input length");
+    return dotProductAt(
+        inputs, _opSeq.fetch_add(1, std::memory_order_relaxed));
+}
 
+std::vector<Acc>
+BitSerialEngine::dotProductAt(std::span<const Word> inputs,
+                              std::uint64_t opSeq) const
+{
     const int phases = cfg.phases();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    const std::uint64_t opSeq =
-        _opSeq.fetch_add(1, std::memory_order_relaxed);
 
     // One task per (phase, row segment); partial sums, stats, and
     // ADC tallies land in per-worker accumulators. 64-bit integer
@@ -860,13 +900,16 @@ BitSerialEngine::packBitPlanesBatch(
 
 void
 BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
-                               int first, int n, std::span<Acc> out,
-                               Acc *unitTotals, Partial &part) const
+                               int first, int n,
+                               std::uint64_t firstOp,
+                               std::span<Acc> out, Acc *unitTotals,
+                               Partial &part) const
 {
     const int slices = cfg.slicesPerWeight();
     const int phases = cfg.phases();
     const int words = (cfg.rows + 63) / 64;
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
+    const bool noisy = cfg.noise.readNoiseEnabled();
     std::vector<std::uint64_t> dig;
     std::vector<Acc> curMat;
     Acc dummyUnitTotal = 0;
@@ -894,9 +937,11 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
     // every reading of the tile and the digital pass can skip
     // clamping entirely. Stuck-at-high cells can break the bound
     // (maxPackedReading reads the *stored* levels, so they are
-    // counted), in which case the tile takes the clamped ladder.
-    std::vector<char> mayClip(tiles.size());
-    for (std::size_t ti = 0; ti < tiles.size(); ++ti) {
+    // counted), in which case the tile takes the clamped ladder. So
+    // does every tile under read noise: a draw can lift any reading
+    // past the bound.
+    std::vector<char> mayClip(tiles.size(), 1);
+    for (std::size_t ti = 0; ti < tiles.size() && !noisy; ++ti) {
         mayClip[ti] =
             tiles[ti].array->maxPackedReading(cfg.dacBits) > maxCode;
     }
@@ -936,13 +981,15 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                             unit,
                             [&](int attempt)
                                 -> const std::vector<Acc> & {
-                                // Batched attempts are deterministic:
-                                // the currents are the window's GEMM
-                                // column, gathered once; every
-                                // attempt still charges its read
+                                // The currents are the window's GEMM
+                                // column, gathered once when clean
+                                // (attempts then repeat it) and per
+                                // attempt under read noise, which
+                                // draws afresh for every attempt.
+                                // Every attempt charges its read
                                 // cycle so readCycles() matches a
                                 // per-window run under ABFT retries.
-                                if (attempt == 0) {
+                                if (attempt == 0 || noisy) {
                                     part.currents.resize(
                                         static_cast<std::size_t>(
                                             physCols));
@@ -954,6 +1001,14 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                                                        c) *
                                                        n +
                                                    i];
+                                }
+                                if (noisy) {
+                                    addReadNoise(
+                                        t, dataCols, checking,
+                                        readSeq(firstOp + static_cast<
+                                                    std::uint64_t>(i),
+                                                p, attempt),
+                                        part.currents);
                                 }
                                 t.array->chargeReadCycles(1);
                                 return part.currents;
@@ -997,6 +1052,25 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                 part.stats.shiftAdds +=
                     static_cast<std::uint64_t>(n) * t.localOutputs *
                     (slices + 1);
+                if (noisy) {
+                    // The single attempt's draws, in place: column
+                    // rows of the GEMM matrix are contiguous, and
+                    // window i's draw is keyed by its own op number.
+                    forEachSampledColumn(
+                        t, dataCols, false, [&](int c) {
+                            Acc *row = curMat.data() +
+                                static_cast<std::size_t>(c) * n;
+                            for (int i = 0; i < n; ++i) {
+                                row[i] = t.array->applyReadNoise(
+                                    row[i],
+                                    readSeq(firstOp +
+                                                static_cast<
+                                                    std::uint64_t>(i),
+                                            p, 0),
+                                    c);
+                            }
+                        });
+                }
                 const Acc *unitRow = curMat.data() +
                     static_cast<std::size_t>(t.colMap[static_cast<
                         std::size_t>(dataCols)]) * n;
@@ -1073,17 +1147,18 @@ BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
                     }
                     continue;
                 }
-                // Clamped fallback (a stuck-at-high column can push
-                // readings past the ADC ceiling): the scalar ladder,
-                // clip counting included.
+                // Clamped fallback (a stuck-at-high column or a noise
+                // draw can push readings past the ADC ceiling): the
+                // scalar ladder, clip counting included.
                 std::uint64_t clips = 0;
                 // Unit column first (quantize clamp order matches the
-                // scalar ladder; a packed read can never go negative,
-                // which is the one case quantize() panics on). Under
-                // an adaptive policy the unit converts at the tile's
-                // static-bound resolution and each window's data
-                // columns clamp at the ceiling its quantized unit
-                // certifies, exactly as evalTileAttempts does.
+                // scalar ladder; a packed read can never go negative
+                // and read noise clamps at 0, so quantize()'s one
+                // panic case never arises). Under an adaptive policy
+                // the unit converts at the tile's static-bound
+                // resolution and each window's data columns clamp at
+                // the ceiling its quantized unit certifies, exactly
+                // as evalTileAttempts does.
                 const int unitRes = adaptive
                     ? cfg.adcPolicy.resolutionFor(
                           static_cast<Acc>(t.usedRows) *
@@ -1205,28 +1280,29 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
         static_cast<std::size_t>(count) * _numOutputs, 0);
     if (count == 0)
         return out;
-    if (!fastPathActive()) {
-        // Noisy / drifting / fault-injected engines take the scalar
-        // per-window path — identical to the caller looping
-        // dotProduct(), including the per-op noise realizations.
-        for (int i = 0; i < count; ++i) {
-            const auto r = dotProduct(inputs.subspan(
-                static_cast<std::size_t>(i) * _numInputs,
-                static_cast<std::size_t>(_numInputs)));
+    // Claim the op-sequence range `count` dotProduct() calls would;
+    // window i runs as op opSeq0 + i on every path, so its noise and
+    // drift realization is the sequential caller's whatever the
+    // thread count, and later calls observe the same sequence.
+    const std::uint64_t opSeq0 = _opSeq.fetch_add(
+        static_cast<std::uint64_t>(count), std::memory_order_relaxed);
+    if (!fastPathActive() || !cfg.batchWindows) {
+        // Drifting / fault-injected / scalar-oracle engines, and the
+        // per-window configuration: each window is one dotProduct()
+        // under its claimed op number.
+        parallelFor(count, cfg.threads, [&](std::int64_t i, int) {
+            const auto r = dotProductAt(
+                inputs.subspan(static_cast<std::size_t>(i) * _numInputs,
+                               static_cast<std::size_t>(_numInputs)),
+                opSeq0 + static_cast<std::uint64_t>(i));
             std::copy(r.begin(), r.end(),
                       out.begin() +
                           static_cast<std::size_t>(i) * _numOutputs);
-        }
+        });
         return out;
     }
 
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    // Claim the op-sequence range `count` dotProduct() calls would:
-    // the fast path never draws from the noise streams, but later
-    // scalar operations (say, after a fault injection stands the
-    // fast path down) must observe the same sequence either way.
-    _opSeq.fetch_add(static_cast<std::uint64_t>(count),
-                     std::memory_order_relaxed);
 
     // One task per contiguous window block. A block owns its windows
     // end to end — their result slices and unit totals are written
@@ -1254,6 +1330,7 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
         const int first = static_cast<int>(blk) * blockSize;
         runBatchBlock(inputs, first,
                       std::min(blockSize, count - first),
+                      opSeq0 + static_cast<std::uint64_t>(first),
                       std::span<Acc>(out),
                       twosComp ? nullptr : unitTotals.data(),
                       parts[static_cast<std::size_t>(w)]);

@@ -125,16 +125,18 @@ struct EngineConfig
     int retryBackoffCycles = 2;
 
     /**
-     * Packed bit-plane fast path: when the analog model is clean (no
-     * read noise, no drift, no injected faults) every bitline sum is
-     * computed as popcounts over 64-bit bit-planes of the stored
-     * levels instead of the scalar O(rows x cols) loop, and the ABFT
-     * checksum is verified digitally from the same packed sums.
-     * Results, EngineStats, per-tile AdcTally, and TransientStats
-     * are bit-identical either way (tests assert it); false forces
-     * the legacy scalar path. Noisy / drifting configs and engines
-     * with injectCellFault() activity always take the scalar path
-     * regardless of this knob. See docs/performance.md.
+     * Packed bit-plane fast path: unless the engine drifts or carries
+     * injectCellFault() activity, every bitline sum is computed as
+     * popcounts over 64-bit bit-planes of the stored levels instead
+     * of the scalar O(rows x cols) loop, and the ABFT checksum is
+     * verified digitally from the same packed sums. Read noise rides
+     * along: each sampled column of a packed reading gets the same
+     * counter-keyed draw the scalar read adds to it. Results,
+     * EngineStats, per-tile AdcTally, and TransientStats are
+     * bit-identical either way (tests assert it); false forces the
+     * scalar path, the oracle the packed tier is tested against.
+     * Drifting and fault-injected engines always take the scalar
+     * path regardless of this knob. See docs/performance.md.
      */
     bool fastPath = true;
 
@@ -146,20 +148,23 @@ struct EngineConfig
      * sign-extended high phases repeat digit vectors heavily. 0
      * disables memoization. Replayed deltas equal computed deltas,
      * so results and all counters stay exact at any hit pattern.
+     * Engines with read noise bypass the memo: every read draws
+     * fresh noise, so no reading is replayable.
      */
     int memoEntries = 64;
 
     /**
      * Batched window execution: when the fast path is active,
-     * CompiledModel drives every window of a shared-kernel layer
-     * through dotProductBatch(), which stages the whole layer's digit
+     * dotProductBatch() — which CompiledModel drives every window of
+     * a shared-kernel layer through — stages the whole layer's digit
      * planes into one plane-major bit-matrix and evaluates all
      * windows per tile-phase in a single popcount GEMM
      * (xbar/batch_kernel.h). Results, EngineStats, per-tile AdcTally,
      * and TransientStats are bit-identical to per-window dotProduct()
      * calls (tests assert it); only the diagnostic memo hit/miss
      * split differs (the batched path does not consult the memo).
-     * false restores the per-window path.
+     * false makes dotProductBatch() run its windows one by one on
+     * the per-window path (memo included).
      */
     bool batchWindows = true;
 
@@ -293,11 +298,16 @@ class BitSerialEngine
      * window. Results and every counter (EngineStats, per-tile
      * AdcTally, TransientStats, array read cycles) are bit-identical
      * to `count` sequential dotProduct() calls at any thread count
-     * and any dispatch tier; only memoHits()/memoMisses() differ
-     * (diagnostic-only; this path bypasses the memo). Noisy,
-     * drifting, or fault-injected engines fall back to per-window
-     * dotProduct() calls internally, so the batch entry point is
-     * always safe to use. Thread-safe like dotProduct().
+     * and any dispatch tier, read noise included: window i runs as
+     * operation opSeq0 + i of the contiguous range the call claims,
+     * which keys its noise draws exactly as the i-th sequential call
+     * would; only memoHits()/memoMisses() differ (diagnostic-only;
+     * this path bypasses the memo). Drifting or fault-injected
+     * engines, fastPath = false, and batchWindows = false run the
+     * windows (in parallel) as per-window dotProduct() evaluations
+     * under those same op numbers, so the batch entry point is
+     * always safe to use and never depends on thread timing.
+     * Thread-safe like dotProduct().
      */
     std::vector<Acc> dotProductBatch(std::span<const Word> inputs,
                                      int count) const;
@@ -417,11 +427,12 @@ class BitSerialEngine
     bool abftActive(int rs, int cs) const;
 
     /**
-     * True when dotProduct() takes the packed bit-plane path: the
-     * fastPath knob is on, the noise spec has no read noise or
-     * drift, and no fault was injected after programming. Scalar
-     * and packed execution are bit-identical; this only reports
-     * which one runs.
+     * True when the packed tier runs (dotProduct()'s packed read,
+     * dotProductBatch()'s GEMM): the fastPath knob is on, the noise
+     * spec has no drift, and no fault was injected after
+     * programming. Read noise does not stand it down. Scalar and
+     * packed execution are bit-identical; this only reports which
+     * one runs.
      */
     bool fastPathActive() const;
 
@@ -542,6 +553,35 @@ class BitSerialEngine
     void runPhaseSegment(std::span<const Word> inputs, int p, int rs,
                          std::uint64_t opSeq, Partial &part) const;
 
+    /** dotProduct() as operation number `opSeq` (already claimed). */
+    std::vector<Acc> dotProductAt(std::span<const Word> inputs,
+                                  std::uint64_t opSeq) const;
+
+    /**
+     * Read-noise sequence number of phase p's read attempt `attempt`
+     * in operation `opSeq` — the key every read primitive (scalar,
+     * packed, batched) draws that attempt's noise under.
+     */
+    std::uint64_t readSeq(std::uint64_t opSeq, int p,
+                          int attempt) const;
+
+    /**
+     * Call fn(physicalColumn) for every column a read attempt on t
+     * samples: each mapped data column, the unit column, and the
+     * checksum column when `checking`. The packed tiers add read
+     * noise to exactly these (unsampled spares are never observed,
+     * and each draw depends only on its own column).
+     */
+    template <typename Fn>
+    void forEachSampledColumn(const ArrayTile &t, int dataCols,
+                              bool checking, Fn fn) const;
+
+    /** One attempt's read-noise draws (sequence `seq`) added to the
+     *  sampled columns of a noise-free reading of tile t. */
+    void addReadNoise(const ArrayTile &t, int dataCols, bool checking,
+                      std::uint64_t seq,
+                      std::vector<Acc> &currents) const;
+
     /**
      * Extract phase p's input digits for row segment rs directly
      * into part.digitPlanes (bypassing the scalar digit buffer) and
@@ -566,15 +606,14 @@ class BitSerialEngine
                           ReadFn readFn) const;
 
     /**
-     * Fresh evaluation of one (phase, tile): evalTileAttempts with
+     * Fresh evaluation of phase p on one tile: evalTileAttempts with
      * the scalar or packed single-vector read primitive (`fast`
-     * picks which).
+     * picks which), operation `opSeq` keying noise and drift.
      */
     void evalTilePhase(const ArrayTile &t, int dataCols,
-                       bool checking, bool fast,
-                       std::uint64_t baseSeq, std::uint64_t opSeq,
-                       Partial &part, AdcTally &tileTally,
-                       Acc &unit) const;
+                       bool checking, bool fast, int p,
+                       std::uint64_t opSeq, Partial &part,
+                       AdcTally &tileTally, Acc &unit) const;
 
     /**
      * Digital merge of one (phase, tile) reading into a window's
@@ -611,14 +650,15 @@ class BitSerialEngine
     /**
      * Fast-path evaluation of one contiguous window block [first,
      * first + n): per (phase, row segment) one batched packing, per
-     * tile one popcount GEMM, then the shared per-window digital
-     * pass. Results land in the windows' slices of `out` (rawSum in
-     * biased mode, corrected by the caller) and `unitTotals` (biased
-     * mode only, else null); counters in `part`.
+     * tile one popcount GEMM (plus window first + i's read-noise
+     * draws as operation firstOp + i), then the shared per-window
+     * digital pass. Results land in the windows' slices of `out`
+     * (rawSum in biased mode, corrected by the caller) and
+     * `unitTotals` (biased mode only, else null); counters in `part`.
      */
     void runBatchBlock(std::span<const Word> inputs, int first, int n,
-                       std::span<Acc> out, Acc *unitTotals,
-                       Partial &part) const;
+                       std::uint64_t firstOp, std::span<Acc> out,
+                       Acc *unitTotals, Partial &part) const;
 
     /**
      * Replay a memoized reading of tile (rs, cs) for the digit

@@ -17,6 +17,7 @@
 #include "campaign/campaign.h"
 #include "campaign/runner.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "core/accelerator.h"
 #include "core/report.h"
 #include "nn/zoo.h"
@@ -408,6 +409,30 @@ TEST(CampaignRunner, ReplayFromIdMatchesTheCampaignRecord)
     auto got = runner.runScenario(parsed);
     got.pareto = want->pareto; // finalize() assigns this, not replay.
     EXPECT_EQ(got.toJson(), want->toJson());
+}
+
+TEST(CampaignRunner, ReadNoiseReplayOutsideAParallelRegionIsReproducible)
+{
+    // A caller outside any parallelFor region must see what
+    // Runner::run records: the scenario's images are served on the
+    // calling thread either way, so the engines' op numbers (which
+    // key the read-noise draws) follow one fixed order.
+    RunnerOptions opts;
+    opts.batch = 4;
+    opts.threads = 2;
+    const Runner runner("tinycnn", kSeed, opts);
+    Grid grid;
+    grid.readSigma = {0.5};
+    const auto report = runner.run(grid);
+    ASSERT_EQ(report.scenarios.size(), 1u);
+    const auto &want = report.scenarios[0];
+
+    ASSERT_FALSE(ThreadPool::inParallelRegion());
+    for (int rep = 0; rep < 4; ++rep) {
+        auto got = runner.runScenario(want.scenario);
+        got.pareto = want.pareto; // finalize() assigns this.
+        EXPECT_EQ(got.toJson(), want.toJson()) << "repeat " << rep;
+    }
 }
 
 TEST(CampaignRunner, MismatchedReplayIsFatal)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "common/logging.h"
 #include "core/accelerator.h"
 #include "nn/zoo.h"
@@ -77,9 +80,10 @@ TEST(Accelerator, MultiSegmentLayersBitExact)
 
 TEST(Accelerator, BatchedWindowExecutionIsInvisible)
 {
-    // engine.batchWindows only changes how a layer's windows are
-    // driven (one dotProductBatch() vs per-window dotProduct());
-    // every layer output and every engine counter must be identical.
+    // engine.batchWindows only changes how dotProductBatch() drives
+    // a layer's windows (one popcount GEMM vs per-window packed
+    // reads); every layer output and every engine counter must be
+    // identical.
     // Multi-segment conv layers stress the tiled path.
     nn::NetworkBuilder b("batch-net", 8, 8, 8);
     b.conv(5, 24, 1, 0); // dot length 200, 24 outputs, 16 windows
@@ -137,6 +141,41 @@ TEST(Accelerator, NoisyCompilationPerturbsResults)
     for (std::size_t i = 0; i < got.size(); ++i)
         diffs += got.flat(i) != want.flat(i);
     EXPECT_GT(diffs, 0);
+}
+
+TEST(Accelerator, NoisyInferenceIsReproducibleAtAnyThreadCount)
+{
+    // Read-noise draws are keyed by each engine's op number; a layer
+    // claims its windows' op numbers as one range in window order,
+    // so the realization must not depend on which worker reached the
+    // engine first. Two repeats per setting catch a lucky schedule.
+    const auto net = nn::tinyCnn();
+    const auto weights = nn::WeightStore::synthesize(net, 8);
+    const auto input = nn::synthesizeInput(16, 12, 12, 5, {12});
+
+    auto run = [&](int threads) {
+        arch::IsaacConfig cfg;
+        cfg.engine.noise.sigmaLsb = 0.5;
+        cfg.engine.threads = threads;
+        const auto model = Accelerator(cfg).compile(net, weights);
+        std::vector<std::vector<Word>> outs;
+        for (const auto &t : model.inferAll(input))
+            outs.push_back(t.raw());
+        return std::make_tuple(outs, model.engineStats(),
+                               model.adcClips());
+    };
+    const auto [wantOuts, wantStats, wantClips] = run(1);
+    for (const int threads : {1, 2, 4}) {
+        for (int rep = 0; rep < 2; ++rep) {
+            const auto [outs, stats, clips] = run(threads);
+            ASSERT_EQ(outs.size(), wantOuts.size());
+            for (std::size_t i = 0; i < outs.size(); ++i)
+                EXPECT_EQ(outs[i], wantOuts[i])
+                    << "threads " << threads << " layer " << i;
+            EXPECT_TRUE(stats == wantStats) << "threads " << threads;
+            EXPECT_EQ(clips, wantClips) << "threads " << threads;
+        }
+    }
 }
 
 TEST(Accelerator, EngineStatsAccumulate)

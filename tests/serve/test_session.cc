@@ -381,9 +381,10 @@ TEST(Session, TrySubmitForGivesUpOnAPersistentlyFullQueue)
     // queueDepth 1 with an in-flight image: a bounded wait shorter
     // than one inference must give up (counted rejected), even
     // though the waiter helps execute steps while it waits — helping
-    // cannot finish the image before the timeout. Read noise forces
-    // the scalar path (tens of ms per image), so no scheduler stall
-    // can complete the in-flight image under the 1 ms budget.
+    // cannot finish the image before the timeout. Read noise costs
+    // one Gaussian draw per sampled column per read (tens of ms per
+    // image), so no scheduler stall can complete the in-flight image
+    // under the 1 ms budget.
     const auto net = nn::tinyCnn();
     const auto weights = nn::WeightStore::synthesize(net, 4);
     const core::CompileOptions opts;

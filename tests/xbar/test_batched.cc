@@ -219,6 +219,8 @@ expectTracesEqual(const RunTrace &a, const RunTrace &b,
         EXPECT_EQ(a.tiles[i].samples, b.tiles[i].samples)
             << "tile " << i;
         EXPECT_EQ(a.tiles[i].clips, b.tiles[i].clips) << "tile " << i;
+        EXPECT_EQ(a.tiles[i].bitCycles, b.tiles[i].bitCycles)
+            << "tile " << i;
     }
     EXPECT_EQ(a.readCycles, b.readCycles);
     EXPECT_EQ(a.adcClips, b.adcClips);
@@ -321,6 +323,134 @@ TEST(Batched, GoldenEquivalenceSweep)
     }
 }
 
+/**
+ * Read noise on the packed tiers, differentially against the scalar
+ * oracle (fastPath = false, sequential dotProduct()): ABFT whose
+ * retries fire (and sometimes run out), the fixed and the adaptive
+ * ADC policy, sparse stuck-On cells (ABFT stays armed on some tiles)
+ * and dense ones (saturating windows read past the ADC ceiling and
+ * every checksum column fails verification), 0 and 2 spare columns,
+ * at n in {1, 8, 81, 300} windows, on every compiled kernel tier:
+ * the batched GEMM at 1 and 4 threads, the per-window packed read
+ * serially. Two's complement runs w = 2 cells on 32 columns, biased
+ * mode w = 4 cells on 16 (both converters then have headroom only
+ * dense stuck-On columns can exceed). One input mode and ABFT
+ * setting per test case, so ctest spreads the sweep.
+ */
+void
+readNoiseSweep(InputMode mode, bool abft)
+{
+    const int n = 100, m = 6; // 2 row segments x 2-3 column segments
+    const int maxCount = 300;
+    Rng rng(0x2EAD0 + static_cast<int>(mode) * 2 + (abft ? 1 : 0));
+    const auto weights = randomWords(rng, n * m);
+    // Every seventh window saturates every digit (all-ones two's
+    // complement, or the largest biased value), so the dense
+    // stuck-On columns read past the converter ceiling.
+    auto inputs = randomWords(rng, n * maxCount);
+    const Word hot = mode == InputMode::TwosComplement
+        ? Word{-1}
+        : Word{32767};
+    for (int i = 0; i < maxCount; i += 7)
+        std::fill_n(inputs.begin() + static_cast<std::ptrdiff_t>(i) * n,
+                    n, hot);
+
+    TierGuard guard;
+    const int tiers = static_cast<int>(kernel::detectedTier()) + 1;
+    for (const bool adaptive : {false, true}) {
+        for (const double stuck : {0.0, 0.02, 0.4}) {
+            for (const int spares : {0, 2}) {
+                EngineConfig cfg;
+                cfg.rows = 64;
+                cfg.cols = 32;
+                cfg.inputMode = mode;
+                if (mode == InputMode::Biased) {
+                    cfg.cols = 16;
+                    cfg.cellBits = 4;
+                }
+                cfg.spareCols = spares;
+                cfg.abftChecksum = abft;
+                cfg.noise.sigmaLsb = 0.25;
+                cfg.noise.stuckAtFraction = stuck;
+                cfg.noise.stuckMode = StuckMode::On;
+                if (adaptive)
+                    cfg.adcPolicy = AdcPolicy::adaptive();
+                EngineConfig scalar = cfg;
+                scalar.threads = 1;
+                scalar.fastPath = false;
+                scalar.memoEntries = 0;
+                const std::string point =
+                    std::string(adaptive ? "adaptive" : "fixed") +
+                    " stuck-on " + std::to_string(stuck) +
+                    " spares" + std::to_string(spares);
+                for (const int count : {1, 8, 81, maxCount}) {
+                    const std::vector<Word> in(
+                        inputs.begin(),
+                        inputs.begin() +
+                            static_cast<std::ptrdiff_t>(count) * n);
+                    const auto golden =
+                        runSequential(scalar, weights, n, m, in, count);
+                    if (count == maxCount) {
+                        // The sweep must reach the paths it claims to.
+                        if (abft && stuck < 0.1) {
+                            EXPECT_GT(golden.transient.abftRetries, 0u)
+                                << point;
+                            EXPECT_GT(golden.transient.abftUncorrected,
+                                      0u) << point;
+                        }
+                        if (stuck > 0.1)
+                            EXPECT_GT(golden.adcClips, 0u) << point;
+                    }
+                    for (int tier = 0; tier < tiers; ++tier) {
+                        const auto t = static_cast<kernel::Tier>(tier);
+                        kernel::forceTier(t);
+                        const std::string label = point + " n" +
+                            std::to_string(count) + " " +
+                            kernel::tierName(t);
+                        for (const int threads : {1, 4}) {
+                            EngineConfig fast = cfg;
+                            fast.threads = threads;
+                            expectTracesEqual(
+                                golden,
+                                runBatched(fast, weights, n, m, in,
+                                           count),
+                                "batched " + label + " t" +
+                                    std::to_string(threads));
+                        }
+                        EngineConfig fast = cfg;
+                        fast.threads = 1;
+                        expectTracesEqual(
+                            golden,
+                            runSequential(fast, weights, n, m, in,
+                                          count),
+                            "per-window " + label);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Batched, ReadNoiseSweepTwosComplement)
+{
+    readNoiseSweep(InputMode::TwosComplement, false);
+}
+
+TEST(Batched, ReadNoiseSweepTwosComplementAbft)
+{
+    readNoiseSweep(InputMode::TwosComplement, true);
+}
+
+TEST(Batched, ReadNoiseSweepBiased)
+{
+    readNoiseSweep(InputMode::Biased, false);
+}
+
+TEST(Batched, ReadNoiseSweepBiasedAbft)
+{
+    readNoiseSweep(InputMode::Biased, true);
+}
+
 TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
 {
     const int n = 200, m = 20;
@@ -349,11 +479,11 @@ TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
     }
 }
 
-TEST(Batched, NoisyConfigFallsBackPerWindow)
+TEST(Batched, NoisyConfigBatchesWithPerWindowNoise)
 {
-    // Read noise forces the scalar path; the batch entry point must
-    // still be safe and must replay the exact per-window noise
-    // streams a sequential caller would see.
+    // Read noise runs on the batched GEMM; window i must draw the
+    // exact noise stream the i-th sequential call would see, on the
+    // packed per-window path and on the scalar oracle alike.
     EngineConfig noisy;
     noisy.threads = 1;
     noisy.noise.sigmaLsb = 0.5;
@@ -363,19 +493,23 @@ TEST(Batched, NoisyConfigFallsBackPerWindow)
     const auto inputs = randomWords(rng, n * count);
 
     BitSerialEngine batched(noisy, weights, n, m);
-    ASSERT_FALSE(batched.fastPathActive());
+    ASSERT_TRUE(batched.fastPathActive());
     const auto got = batched.dotProductBatch(inputs, count);
 
-    BitSerialEngine seq(noisy, weights, n, m);
-    std::vector<Acc> want;
-    for (int i = 0; i < count; ++i) {
-        const auto r = seq.dotProduct(std::span<const Word>(
-            inputs.data() + static_cast<std::size_t>(i) * n,
-            static_cast<std::size_t>(n)));
-        want.insert(want.end(), r.begin(), r.end());
+    EngineConfig scalar = noisy;
+    scalar.fastPath = false;
+    for (const auto &cfg : {noisy, scalar}) {
+        BitSerialEngine seq(cfg, weights, n, m);
+        std::vector<Acc> want;
+        for (int i = 0; i < count; ++i) {
+            const auto r = seq.dotProduct(std::span<const Word>(
+                inputs.data() + static_cast<std::size_t>(i) * n,
+                static_cast<std::size_t>(n)));
+            want.insert(want.end(), r.begin(), r.end());
+        }
+        EXPECT_EQ(got, want) << "fastPath " << cfg.fastPath;
+        EXPECT_TRUE(batched.stats() == seq.stats());
     }
-    EXPECT_EQ(got, want);
-    EXPECT_TRUE(batched.stats() == seq.stats());
 }
 
 TEST(Batched, MixedBatchAndSequentialCallsShareTheOpStream)

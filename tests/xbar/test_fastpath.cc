@@ -6,8 +6,9 @@
  * TransientStats must be bit-identical to the legacy scalar path for
  * every configuration and thread count, memo hits included. These
  * tests sweep the encoding space, prove the dispatch rules
- * (noisy/drifting/injected configs fall back to scalar), and prove
- * invalidation on reprogramming.
+ * (drifting/injected configs fall back to scalar; read noise runs
+ * packed and matches the scalar oracle's noise realization), and
+ * prove invalidation on reprogramming.
  */
 
 #include <gtest/gtest.h>
@@ -269,7 +270,7 @@ TEST(FastPath, InvalidationOnReprogram)
     }
 }
 
-TEST(FastPath, NoisyConfigFallsBackToScalar)
+TEST(FastPath, NoisyConfigRunsPackedAndMatchesScalar)
 {
     EngineConfig noisy;
     noisy.threads = 1;
@@ -279,17 +280,23 @@ TEST(FastPath, NoisyConfigFallsBackToScalar)
     const auto x = randomWords(rng, 128);
 
     BitSerialEngine engine(noisy, weights, 128, 16);
-    EXPECT_FALSE(engine.fastPathActive());
+    EXPECT_TRUE(engine.fastPathActive());
     const auto got = engine.dotProduct(x);
+    // The same digit vectors again: read noise bypasses the memo,
+    // because the next read of a vector draws different noise.
+    const auto again = engine.dotProduct(x);
     EXPECT_EQ(engine.memoHits() + engine.memoMisses(), 0u);
 
-    // The knob is inert under noise: identical noise realization.
+    // The knob only picks the tier: identical noise realization.
     EngineConfig legacy = noisy;
     legacy.fastPath = false;
     legacy.memoEntries = 0;
     BitSerialEngine ref(legacy, weights, 128, 16);
+    EXPECT_FALSE(ref.fastPathActive());
     EXPECT_EQ(got, ref.dotProduct(x));
+    EXPECT_EQ(again, ref.dotProduct(x));
     EXPECT_TRUE(engine.stats() == ref.stats());
+    EXPECT_EQ(engine.readCycles(), ref.readCycles());
 }
 
 TEST(FastPath, DriftConfigFallsBackToScalar)
@@ -391,17 +398,39 @@ TEST(FastPath, PlaneRebuildAfterMutation)
     EXPECT_EQ(out[2], 1);
 }
 
-TEST(FastPath, PackedRefusesNoisyArrays)
+TEST(FastPath, PackedReadPlusNoiseMatchesScalarRead)
 {
-    CrossbarArray xb(8, 2, 2);
+    // A read-noise array reads packed: the clean packed sums plus
+    // one applyReadNoise() draw per column are the scalar read.
+    CrossbarArray xb(8, 3, 2);
     NoiseSpec spec;
-    spec.sigmaLsb = 0.1;
+    spec.sigmaLsb = 0.8;
     xb.setNoise(spec);
+    for (int r = 0; r < 8; ++r)
+        for (int c = 0; c < 3; ++c)
+            xb.program(r, c, (r + c) % 4);
+    EXPECT_TRUE(xb.packedReadExact());
+    const std::vector<int> digits(8, 1);
     std::vector<std::uint64_t> planes(1, 0xFF);
+    for (const std::uint64_t seq : {0ull, 7ull, 1ull << 40}) {
+        std::vector<Acc> out;
+        xb.readAllBitlinesPacked(planes, 1, out);
+        for (int c = 0; c < 3; ++c)
+            out[static_cast<std::size_t>(c)] = xb.applyReadNoise(
+                out[static_cast<std::size_t>(c)], seq, c);
+        EXPECT_EQ(out, xb.readAllBitlines(digits, seq)) << seq;
+    }
+
+    // Drift changes the conductances themselves: packed reads stay
+    // refused there.
+    CrossbarArray drifty(8, 2, 2);
+    NoiseSpec driftSpec;
+    driftSpec.driftLevelsPerOp = 0.1;
+    drifty.setNoise(driftSpec);
     std::vector<Acc> out;
-    EXPECT_THROW(xb.readAllBitlinesPacked(planes, 1, out),
+    EXPECT_THROW(drifty.readAllBitlinesPacked(planes, 1, out),
                  FatalError);
-    EXPECT_FALSE(xb.packedReadExact());
+    EXPECT_FALSE(drifty.packedReadExact());
 }
 
 TEST(FastPath, MemoEntriesZeroDisablesMemo)
