@@ -55,7 +55,7 @@ BM_EngineDotProduct(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
     const int m = static_cast<int>(state.range(1));
-    xbar::EngineConfig cfg; // packed fast path + memo (the default)
+    xbar::EngineConfig cfg; // the packed fast path (the default)
     const auto weights = randomWords(7, n * m);
     xbar::BitSerialEngine engine(cfg, weights, n, m);
     const auto inputs = randomWords(9, n);
@@ -69,7 +69,7 @@ BENCHMARK(BM_EngineDotProduct)
     ->Args({256, 32})   // the Fig. 4 example (4 arrays)
     ->Args({1024, 64}); // a deep-layer slice
 
-/** The legacy scalar row loop (fastPath = false, no memo). */
+/** The legacy scalar row loop (fastPath = false). */
 void
 BM_EngineDotProductScalar(benchmark::State &state)
 {
@@ -77,7 +77,6 @@ BM_EngineDotProductScalar(benchmark::State &state)
     const int m = static_cast<int>(state.range(1));
     xbar::EngineConfig cfg;
     cfg.fastPath = false;
-    cfg.memoEntries = 0;
     const auto weights = randomWords(7, n * m);
     xbar::BitSerialEngine engine(cfg, weights, n, m);
     const auto inputs = randomWords(9, n);
@@ -87,27 +86,6 @@ BM_EngineDotProductScalar(benchmark::State &state)
                             static_cast<std::int64_t>(n) * m);
 }
 BENCHMARK(BM_EngineDotProductScalar)
-    ->Args({128, 16})
-    ->Args({256, 32})
-    ->Args({1024, 64});
-
-/** Packed bit-plane reads, memo disabled: every phase recomputed. */
-void
-BM_EngineDotProductFast(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    const int m = static_cast<int>(state.range(1));
-    xbar::EngineConfig cfg;
-    cfg.memoEntries = 0;
-    const auto weights = randomWords(7, n * m);
-    xbar::BitSerialEngine engine(cfg, weights, n, m);
-    const auto inputs = randomWords(9, n);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.dotProduct(inputs));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * m);
-}
-BENCHMARK(BM_EngineDotProductFast)
     ->Args({128, 16})
     ->Args({256, 32})
     ->Args({1024, 64});
@@ -124,7 +102,6 @@ BM_EngineDotProductBatched(benchmark::State &state)
     const int windows = 64;
     xbar::EngineConfig cfg;
     cfg.threads = 1;
-    cfg.memoEntries = 0;
     const auto weights = randomWords(7, n * m);
     xbar::BitSerialEngine engine(cfg, weights, n, m);
     const auto inputs = randomWords(9, n * windows);
@@ -135,30 +112,6 @@ BM_EngineDotProductBatched(benchmark::State &state)
                             static_cast<std::int64_t>(n) * m);
 }
 BENCHMARK(BM_EngineDotProductBatched)
-    ->Args({128, 16})
-    ->Args({1024, 64});
-
-/**
- * Steady-state memo replay: the same activation vector re-presented
- * (the recurring-digit-vector limit a conv layer's overlapping
- * windows approach).
- */
-void
-BM_EngineDotProductMemoized(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    const int m = static_cast<int>(state.range(1));
-    xbar::EngineConfig cfg;
-    const auto weights = randomWords(7, n * m);
-    xbar::BitSerialEngine engine(cfg, weights, n, m);
-    const auto inputs = randomWords(9, n);
-    engine.dotProduct(inputs); // populate the memo
-    for (auto _ : state)
-        benchmark::DoNotOptimize(engine.dotProduct(inputs));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * m);
-}
-BENCHMARK(BM_EngineDotProductMemoized)
     ->Args({128, 16})
     ->Args({1024, 64});
 
@@ -284,8 +237,8 @@ timeDotProduct(const xbar::BitSerialEngine &engine,
  *  - "results": the 1024x64 dot product at several thread counts,
  *    scalar and packed-fast-path columns side by side;
  *  - "clean_128": the gated single-array numbers — scalar vs packed
- *    vs steady-state memo replay vs the batched plane-major GEMM on
- *    a clean 128x128 ISAAC-CE array at threads = 1. CI fails if
+ *    vs the batched plane-major GEMM on a clean 128x128 ISAAC-CE
+ *    array at threads = 1. CI fails if
  *    fast_speedup drops below 5, or if batched_speedup (batched GEMM
  *    over the per-window fast path, 64 distinct windows) drops below
  *    2 on hosts whose dispatch tier is above scalar (below 1 on
@@ -318,7 +271,6 @@ writeScalingJson()
         xbar::EngineConfig scalarCfg;
         scalarCfg.threads = threads;
         scalarCfg.fastPath = false;
-        scalarCfg.memoEntries = 0;
         xbar::BitSerialEngine scalar(scalarCfg, weights, n, m);
         // Warm up (spawns pool workers, faults pages), then time.
         scalar.dotProduct(inputs);
@@ -326,7 +278,6 @@ writeScalingJson()
 
         xbar::EngineConfig fastCfg;
         fastCfg.threads = threads;
-        fastCfg.memoEntries = 0; // measure packed reads, not replay
         xbar::BitSerialEngine fast(fastCfg, weights, n, m);
         fast.dotProduct(inputs);
         const double fastNs = timeDotProduct(fast, inputs, 50);
@@ -351,32 +302,23 @@ writeScalingJson()
     xbar::EngineConfig base;
     base.threads = 1;
 
-    auto gateCfg = base;
-    gateCfg.fastPath = false;
-    gateCfg.memoEntries = 0;
-    xbar::BitSerialEngine gScalar(gateCfg, gw, gn, gm);
+    auto scalarBase = base;
+    scalarBase.fastPath = false;
+    xbar::BitSerialEngine gScalar(scalarBase, gw, gn, gm);
     gScalar.dotProduct(gx);
     const double gScalarNs = timeDotProduct(gScalar, gx, 50);
 
-    gateCfg = base;
-    gateCfg.memoEntries = 0;
-    xbar::BitSerialEngine gFast(gateCfg, gw, gn, gm);
+    xbar::BitSerialEngine gFast(base, gw, gn, gm);
     gFast.dotProduct(gx);
     const double gFastNs = timeDotProduct(gFast, gx, 200);
 
-    xbar::BitSerialEngine gMemo(base, gw, gn, gm);
-    gMemo.dotProduct(gx); // populate: later calls replay
-    const double gMemoNs = timeDotProduct(gMemo, gx, 200);
-
-    // The batched plane-major GEMM: 64 *distinct* windows per call
-    // (no memo help possible), ns per window. Gated against the
-    // per-window fast path: on any host with a dispatch tier above
-    // scalar the hoisted packing + SIMD popcount must win >= 2x;
-    // on a dispatch-less host it must at least not regress.
+    // The batched plane-major GEMM: 64 *distinct* windows per call,
+    // ns per window. Gated against the per-window fast path: on any
+    // host with a dispatch tier above scalar the hoisted packing +
+    // SIMD popcount must win >= 2x; on a dispatch-less host it must
+    // at least not regress.
     const int gWindows = 64;
-    gateCfg = base;
-    gateCfg.memoEntries = 0;
-    xbar::BitSerialEngine gBatch(gateCfg, gw, gn, gm);
+    xbar::BitSerialEngine gBatch(base, gw, gn, gm);
     const auto gbx = randomWords(21, gn * gWindows);
     gBatch.dotProductBatch(gbx, gWindows); // warm up
     const double gBatchNs =
@@ -386,17 +328,14 @@ writeScalingJson()
                  "\n  ],\n  \"clean_128\": {\n"
                  "    \"scalar_ns\": %.0f,\n"
                  "    \"fast_ns\": %.0f,\n"
-                 "    \"memo_ns\": %.0f,\n"
                  "    \"batched_ns\": %.0f,\n"
                  "    \"batched_windows\": %d,\n"
                  "    \"kernel_tier\": \"%s\",\n"
                  "    \"fast_speedup\": %.3f,\n"
-                 "    \"memo_speedup\": %.3f,\n"
                  "    \"batched_speedup\": %.3f\n  }\n}\n",
-                 gScalarNs, gFastNs, gMemoNs, gBatchNs, gWindows,
+                 gScalarNs, gFastNs, gBatchNs, gWindows,
                  xbar::kernel::tierName(xbar::kernel::activeTier()),
                  gFastNs > 0 ? gScalarNs / gFastNs : 0.0,
-                 gMemoNs > 0 ? gScalarNs / gMemoNs : 0.0,
                  gBatchNs > 0 ? gFastNs / gBatchNs : 0.0);
     std::fclose(f);
     std::printf("wrote BENCH_crossbar.json\n");

@@ -24,14 +24,11 @@ namespace {
 /**
  * Time one VGG-style conv layer (3x3x64 kernels, 64 output maps, a
  * 14x14 input map -> 144 overlapping windows against one shared
- * engine) through the functional pipeline, ns per inference.
- * `batchWindows` selects the batched plane-major GEMM vs per-window
- * dotProduct() driving (the memo only engages per-window).
- * `hits`/`misses` return the engine-level memo counters.
+ * engine) through the functional pipeline, ns per inference:
+ * `fastPath` picks the batched plane-major GEMM or the scalar oracle.
  */
 double
-timeConvLayer(bool fastPath, bool batchWindows, int memoEntries,
-              std::uint64_t &hits, std::uint64_t &misses)
+timeConvLayer(bool fastPath)
 {
     nn::NetworkBuilder b("vgg-conv", 64, 14, 14);
     b.conv(3, 64, 1, 0); // valid padding: 14 -> 12
@@ -43,11 +40,9 @@ timeConvLayer(bool fastPath, bool batchWindows, int memoEntries,
     arch::IsaacConfig cfg;
     cfg.engine.threads = 1;
     cfg.engine.fastPath = fastPath;
-    cfg.engine.batchWindows = batchWindows;
-    cfg.engine.memoEntries = memoEntries;
     const core::Accelerator acc(cfg);
     const auto model = acc.compile(net, weights, opts);
-    model.infer(input); // warm up (and populate the memo)
+    model.infer(input); // warm up
 
     const int iters = fastPath ? 6 : 2;
     double best = 0.0;
@@ -63,8 +58,6 @@ timeConvLayer(bool fastPath, bool batchWindows, int memoEntries,
         if (rep == 0 || ns < best)
             best = ns;
     }
-    hits = model.memoHits();
-    misses = model.memoMisses();
     return best;
 }
 
@@ -169,48 +162,20 @@ writeFig5Json()
     }
 
     // The crossbar-engine fast path on a realistic conv workload:
-    // overlapping windows of one layer share one engine, so digit
-    // vectors recur across windows (above all the sign-extended
-    // high phases of quantized activations) and the memo replays
-    // them. scripts/ci.sh records these columns alongside the
-    // clean_128 gate in BENCH_crossbar.json.
-    std::uint64_t hits = 0, misses = 0, scratch0 = 0, scratch1 = 0;
-    const double scalarNs =
-        timeConvLayer(false, false, 0, scratch0, scratch1);
-    const double fastNs =
-        timeConvLayer(true, false, 0, scratch0, scratch1);
-    // Memo sized to the layer's working set (144 windows x 16 phases
-    // of distinct digit vectors per tile; see docs/performance.md —
-    // an undersized LRU thrashes on the cyclic access pattern).
-    const double memoNs =
-        timeConvLayer(true, false, 4096, hits, misses);
-    // The batched plane-major GEMM (the default driving mode): all
-    // 144 windows staged into one popcount GEMM per tile-phase; the
-    // memo is bypassed, so this column is honest about cold inputs.
-    const double batchedNs =
-        timeConvLayer(true, true, 0, scratch0, scratch1);
+    // every window of the layer goes through one dotProductBatch()
+    // call, i.e. one popcount GEMM per tile-phase on the packed tier.
+    const double scalarNs = timeConvLayer(false);
+    const double batchedNs = timeConvLayer(true);
     std::fprintf(f,
-                 "\n  ],\n  \"conv_memo\": {\n"
+                 "\n  ],\n  \"conv_layer\": {\n"
                  "    \"layer\": \"conv3x3x64-to-64@14x14\",\n"
                  "    \"conv_scalar_ns\": %.0f,\n"
-                 "    \"conv_fast_ns\": %.0f,\n"
-                 "    \"conv_memo_ns\": %.0f,\n"
                  "    \"conv_batched_ns\": %.0f,\n"
                  "    \"kernel_tier\": \"%s\",\n"
-                 "    \"fast_speedup\": %.3f,\n"
-                 "    \"memo_speedup\": %.3f,\n"
-                 "    \"batched_speedup\": %.3f,\n"
-                 "    \"batched_vs_fast\": %.3f,\n"
-                 "    \"memo_hits\": %llu,\n"
-                 "    \"memo_misses\": %llu\n  }\n}\n",
-                 scalarNs, fastNs, memoNs, batchedNs,
+                 "    \"batched_speedup\": %.3f\n  }\n}\n",
+                 scalarNs, batchedNs,
                  xbar::kernel::tierName(xbar::kernel::activeTier()),
-                 fastNs > 0 ? scalarNs / fastNs : 0.0,
-                 memoNs > 0 ? scalarNs / memoNs : 0.0,
-                 batchedNs > 0 ? scalarNs / batchedNs : 0.0,
-                 batchedNs > 0 ? fastNs / batchedNs : 0.0,
-                 static_cast<unsigned long long>(hits),
-                 static_cast<unsigned long long>(misses));
+                 batchedNs > 0 ? scalarNs / batchedNs : 0.0);
     std::fclose(f);
     std::printf("wrote BENCH_fig5.json\n");
 }

@@ -212,8 +212,8 @@ printServingStudy()
     const auto inputs = bench::makeServeInputs(
         net, kImages, core::CompileOptions{}.format);
 
-    // Warm the digit-vector memo once so the sequential baseline and
-    // every sweep point run against the same cache state.
+    // Warm up once (pool workers, lazily built bit-planes) so the
+    // sequential baseline and every sweep point start warm.
     (void)model.inferBatch(inputs);
 
     // Sequential baseline: inferBatch on the single-worker session.

@@ -37,7 +37,7 @@ EOF
 echo "== static layout audit: false-sharing padding =="
 # tests/common/test_layout.cc is a wall of static_asserts on the
 # cache-line geometry of the hot shared structures (EpochLog slots,
-# StealDeque words, engine tiles/scratch/memo, session decks): it can
+# StealDeque words, engine tiles/scratch, session decks): it can
 # only pass by compiling, so the build above already enforced it.
 # Run the registered test anyway so the audit shows up green in CI
 # output rather than passing silently.
@@ -58,13 +58,12 @@ import json
 with open("build/BENCH_crossbar.json") as f:
     bench = json.load(f)
 gate = bench["clean_128"]
-print("clean_128: scalar %.0f ns, fast %.0f ns, memo %.0f ns, "
+print("clean_128: scalar %.0f ns, fast %.0f ns, "
       "batched %.0f ns/window [%s] "
-      "(fast %.2fx, memo %.2fx, batched-vs-fast %.2fx)" %
-      (gate["scalar_ns"], gate["fast_ns"], gate["memo_ns"],
+      "(fast %.2fx, batched-vs-fast %.2fx)" %
+      (gate["scalar_ns"], gate["fast_ns"],
        gate["batched_ns"], gate["kernel_tier"],
-       gate["fast_speedup"], gate["memo_speedup"],
-       gate["batched_speedup"]))
+       gate["fast_speedup"], gate["batched_speedup"]))
 if gate["fast_speedup"] < 5.0:
     raise SystemExit(
         "perf gate FAILED: clean-128 fast path is only %.2fx over "
@@ -287,12 +286,12 @@ echo "== TSan: self-healing watchdog suite (repair lock discipline) =="
 # workers; TSan proves the _repairMtx -> _mtx lock discipline.
 ./build-tsan/tests/test_selfheal
 
-echo "== TSan: fast-path equivalence suite (memo under threads) =="
+echo "== TSan: fast-path equivalence suite (phase groups under threads) =="
 # The packed-path golden sweep runs engines at 1/2/4/8 threads with
-# the digit-vector memo racing to populate, and the batched sweep
+# shared phase groups fanned across workers, and the batched sweep
 # fans window blocks across workers; TSan proves the lazy plane
-# rebuild, the per-tile memo locking, and the batch partitioning
-# hold the threading contract.
+# rebuild, the per-worker counter partials, and the batch
+# partitioning hold the threading contract.
 ./build-tsan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
 
 echo "== AddressSanitizer build =="
@@ -342,7 +341,7 @@ echo "== ASan: transient-error campaigns (ABFT / ECC / NoC retry) =="
 ./build-asan/tests/test_xbar \
     --gtest_filter='Abft.*:Drift.*:Concurrency.Transient*'
 
-echo "== ASan: fast-path equivalence suite (plane/memo buffers) =="
+echo "== ASan: fast-path equivalence suite (plane buffers) =="
 ./build-asan/tests/test_xbar --gtest_filter='FastPath.*:Batched.*'
 ./build-asan/tests/test_noc --gtest_filter='Crc.*:Packet.*:Ecc.*'
 ./build-asan/tests/test_core --gtest_filter='TransientE2e.*'

@@ -72,10 +72,15 @@ class ThreadSlotRegistry
   public:
     static constexpr int kOverflowId = kMaxThreads;
 
+    /**
+     * Intentionally leaked: pool workers release their ids from
+     * thread_local destructors that can run after static destruction
+     * has begun, so the registry must outlive every thread.
+     */
     static ThreadSlotRegistry &instance()
     {
-        static ThreadSlotRegistry reg;
-        return reg;
+        static auto *reg = new ThreadSlotRegistry;
+        return *reg;
     }
 
     int acquire()

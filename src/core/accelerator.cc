@@ -305,26 +305,6 @@ CompiledModel::engineStats() const
 }
 
 std::uint64_t
-CompiledModel::memoHits() const
-{
-    std::uint64_t total = 0;
-    for (const auto &layer : engines)
-        for (const auto &e : layer)
-            total += e->memoHits();
-    return total;
-}
-
-std::uint64_t
-CompiledModel::memoMisses() const
-{
-    std::uint64_t total = 0;
-    for (const auto &layer : engines)
-        for (const auto &e : layer)
-            total += e->memoMisses();
-    return total;
-}
-
-std::uint64_t
 CompiledModel::adcClips() const
 {
     std::uint64_t clips = 0;

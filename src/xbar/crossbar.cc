@@ -13,7 +13,7 @@ CrossbarArray::CrossbarArray(int rows, int cols, int cellBits)
     : _rows(rows), _cols(cols), _cellBits(cellBits),
       cells(static_cast<std::size_t>(rows) * cols, 0),
       stuckLevel(static_cast<std::size_t>(rows) * cols, -1),
-      writeRng(noise.seed ^ 0xD1CEull)
+      writeRng(noise.seed ^ 0xD1CEull), readSeed(noise.seed)
 {
     if (rows <= 0 || cols <= 0)
         fatal("CrossbarArray: dimensions must be positive");
@@ -158,8 +158,9 @@ CrossbarArray::applyReadNoise(Acc sum, std::uint64_t seq,
     if (!noise.readNoiseEnabled())
         return sum;
     // One Gaussian draw from an Rng seeded purely by
-    // (seed, seq, col): reproducible under any thread interleaving.
-    Rng rng(noise.seed +
+    // (salted seed, seq, col): reproducible under any thread
+    // interleaving.
+    Rng rng(readSeed +
             0x9E3779B97F4A7C15ull *
                 (seq * 131071ull + static_cast<std::uint64_t>(col) +
                  1ull));
@@ -350,6 +351,7 @@ CrossbarArray::setNoise(const NoiseSpec &spec,
         spec.seed ^ (0x9E3779B97F4A7C15ull * instanceSalt);
     writeRng = Rng(salted ^ 0xD1CEull);
     driftSeed = salted ^ 0xD21F7ull;
+    readSeed = salted;
     _noiseSeq.store(0, std::memory_order_relaxed);
 
     // (Re)draw the stuck-cell map from a dedicated stream.

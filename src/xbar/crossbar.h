@@ -134,7 +134,8 @@ class CrossbarArray
     /**
      * The read-noise step of readAllBitlines(): `sum` (a clean
      * bitline sum of column `col`) plus one Gaussian draw of sigma
-     * sigmaLsb keyed purely by (seed, seq, col), clamped at 0. A
+     * sigmaLsb keyed purely by (salted seed, seq, col), clamped at 0
+     * — arrays with different setNoise() salts draw independently. A
      * no-op when read noise is off. Because each draw depends only
      * on its own key, a caller that samples a subset of the columns
      * may skip the rest and still match a scalar read bit for bit.
@@ -188,9 +189,10 @@ class CrossbarArray
     Acc maxPackedReading(int digitBits) const;
 
     /**
-     * Charge `n` read cycles without performing a read. The engine's
-     * digit-vector memo replays cached reads and uses this to keep
-     * readCycles() exactly equal to an unmemoized run.
+     * Charge `n` read cycles without performing a read. The engine
+     * charges the batched GEMM's reads and the repeats of a shared
+     * phase reading through this, keeping readCycles() exactly equal
+     * to one read per attempt.
      */
     void
     chargeReadCycles(std::uint64_t n) const
@@ -221,8 +223,8 @@ class CrossbarArray
      * Configure the non-ideality model. Must be set before
      * programming for write noise / stuck cells to take effect;
      * stuck cells are (re)drawn deterministically from the seed.
-     * `instanceSalt` decorrelates the fault/write streams of arrays
-     * sharing one NoiseSpec (an engine salts each tile with its
+     * `instanceSalt` decorrelates the fault, write, drift and
+     * read-noise streams of arrays sharing one NoiseSpec (an engine salts each tile with its
      * index); the default 0 reproduces the historical streams.
      */
     void setNoise(const NoiseSpec &spec,
@@ -287,6 +289,8 @@ class CrossbarArray
     Rng writeRng;
     /** Salted base for the per-(cell, epoch) drift streams. */
     std::uint64_t driftSeed = 0;
+    /** Salted base for the per-(sequence, column) read-noise draws. */
+    std::uint64_t readSeed = 0;
     std::uint64_t _programPulses = 0;
     /** Sequence for standalone single-bitline reads. */
     mutable std::atomic<std::uint64_t> _noiseSeq{0};

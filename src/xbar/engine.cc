@@ -54,8 +54,6 @@ EngineConfig::validate() const
     if (threads < 0 || threads > kMaxThreads)
         fatal("EngineConfig: thread count must be in [0, " +
               std::to_string(kMaxThreads) + "]");
-    if (memoEntries < 0)
-        fatal("EngineConfig: memoEntries must be non-negative");
     adcPolicy.validate();
 }
 
@@ -82,9 +80,6 @@ BitSerialEngine::BitSerialEngine(const EngineConfig &cfg,
 
     _log.configure(kLogTileBase + kLogTileStride * tiles.size());
     _folded.assign(_log.counters(), 0);
-    memos.resize(tiles.size());
-    for (auto &m : memos)
-        m = std::make_unique<TileMemo>();
     for (int rs = 0; rs < _rowSegments; ++rs) {
         for (int cs = 0; cs < _colSegments; ++cs) {
             auto &t = tile(rs, cs);
@@ -230,7 +225,7 @@ BitSerialEngine::programChecksum(ArrayTile &t,
     // pass left behind — reusing the readback its verification loop
     // already performed instead of re-reading every cell — unflipped
     // to the logical encoding so the digital check in
-    // runPhaseSegment, which also unflips, stays consistent.
+    // evalTileAttempts, which also unflips, stays consistent.
     // Deriving targets from readback rather than intent means
     // permanent write failures the remapper already reported do not
     // raise ABFT alarms forever.
@@ -296,10 +291,6 @@ BitSerialEngine::reprogram(std::span<const Word> weights)
     std::int64_t total = 0;
     for (std::int64_t w : writes)
         total += w;
-    // Stored levels (and possibly the abftOk/flip state) changed:
-    // every memoized reading is stale. The packed planes invalidated
-    // themselves on the program() calls above.
-    clearMemos();
     return total;
 }
 
@@ -345,204 +336,20 @@ BitSerialEngine::addReadNoise(const ArrayTile &t, int dataCols,
 }
 
 void
-BitSerialEngine::packDigitPlanes(std::span<const Word> inputs, int p,
-                                 int rs, int used, Partial &part) const
-{
-    // Fast-path digit extraction: the input digits land directly in
-    // the packed planes (the scalar `digits` buffer is only needed by
-    // the analog read primitive, which this path never calls).
-    const int words = (cfg.rows + 63) / 64;
-    const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    auto &planes = part.digitPlanes;
-    planes.assign(static_cast<std::size_t>(cfg.dacBits) * words, 0);
-    for (int r = 0; r < used; ++r) {
-        const Word x =
-            inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
-        int d;
-        if (twosComp) {
-            d = bitOf(x, p);
-        } else {
-            const std::uint16_t y = static_cast<std::uint16_t>(
-                static_cast<Acc>(x) + kWeightBias);
-            d = digitOf(static_cast<Word>(y), p * cfg.dacBits,
-                        cfg.dacBits);
-        }
-        if (!d)
-            continue;
-        const std::uint64_t bit = std::uint64_t{1} << (r % 64);
-        for (int j = 0; j < cfg.dacBits; ++j) {
-            if ((d >> j) & 1)
-                planes[static_cast<std::size_t>(j) * words + r / 64] |=
-                    bit;
-        }
-    }
-    // FNV-1a over the plane words; collisions are survivable (the
-    // memo verifies full key equality) but rare enough not to cost.
-    std::uint64_t h = 14695981039346656037ull;
-    for (const std::uint64_t w : planes) {
-        h ^= w;
-        h *= 1099511628211ull;
-    }
-    part.planeHash = h;
-}
-
-bool
-BitSerialEngine::memoReplay(int rs, int cs, Partial &part,
-                            Acc &unit) const
-{
-    auto &memo =
-        *memos[static_cast<std::size_t>(rs) * _colSegments + cs];
-    std::lock_guard<std::mutex> lock(memo.m);
-    const auto [begin, end] = memo.index.equal_range(part.planeHash);
-    for (auto it = begin; it != end; ++it) {
-        auto &e = memo.entries[it->second];
-        if (e.key.size() != part.digitPlanes.size() ||
-            !std::equal(e.key.begin(), e.key.end(),
-                        part.digitPlanes.begin()))
-            continue;
-        // Replay: the cached deltas are exactly what a fresh
-        // evaluation would add, so every counter stays identical to
-        // an unmemoized run (including the array's own read-cycle
-        // counter, charged explicitly).
-        part.colQ.assign(e.colQ.begin(), e.colQ.end());
-        unit = e.unit;
-        part.stats.crossbarReads += e.reads;
-        part.stats.adcSamples += e.tally.samples;
-        auto &tileTally = part.tileAdc[static_cast<std::size_t>(
-            rs * _colSegments + cs)];
-        tileTally.merge(e.tally);
-        part.transient.merge(e.transient);
-        tile(rs, cs).array->chargeReadCycles(e.reads);
-        e.lastUse = ++memo.clock;
-        ++memo.hits;
-        return true;
-    }
-    ++memo.misses;
-    return false;
-}
-
-void
-BitSerialEngine::memoInsert(
-    int rs, int cs, const Partial &part, Acc unit,
-    const EngineStats &statsBefore, const AdcTally &tallyBefore,
-    const resilience::TransientStats &trBefore) const
-{
-    auto &memo =
-        *memos[static_cast<std::size_t>(rs) * _colSegments + cs];
-    std::lock_guard<std::mutex> lock(memo.m);
-    // A racing worker may have inserted the same key meanwhile;
-    // keeping one copy is enough (both computed identical values).
-    const auto [begin, end] = memo.index.equal_range(part.planeHash);
-    for (auto it = begin; it != end; ++it) {
-        const auto &e = memo.entries[it->second];
-        if (e.key.size() == part.digitPlanes.size() &&
-            std::equal(e.key.begin(), e.key.end(),
-                       part.digitPlanes.begin()))
-            return;
-    }
-    std::size_t slotIdx;
-    if (static_cast<int>(memo.entries.size()) < cfg.memoEntries) {
-        slotIdx = memo.entries.size();
-        memo.entries.emplace_back();
-    } else {
-        // Evict the least-recently-used entry (only reached once the
-        // working set outgrows the capacity) and unhook its index.
-        slotIdx = 0;
-        for (std::size_t i = 1; i < memo.entries.size(); ++i)
-            if (memo.entries[i].lastUse <
-                memo.entries[slotIdx].lastUse)
-                slotIdx = i;
-        const auto [b, e] =
-            memo.index.equal_range(memo.entries[slotIdx].hash);
-        for (auto it = b; it != e; ++it) {
-            if (it->second == slotIdx) {
-                memo.index.erase(it);
-                break;
-            }
-        }
-    }
-    MemoEntry *slot = &memo.entries[slotIdx];
-    const auto &tileTally = part.tileAdc[static_cast<std::size_t>(
-        rs * _colSegments + cs)];
-    slot->hash = part.planeHash;
-    slot->key.assign(part.digitPlanes.begin(),
-                     part.digitPlanes.end());
-    slot->colQ.assign(part.colQ.begin(), part.colQ.end());
-    slot->unit = unit;
-    slot->reads = part.stats.crossbarReads - statsBefore.crossbarReads;
-    slot->tally.samples = tileTally.samples - tallyBefore.samples;
-    slot->tally.clips = tileTally.clips - tallyBefore.clips;
-    slot->tally.bitCycles =
-        tileTally.bitCycles - tallyBefore.bitCycles;
-    slot->transient = resilience::TransientStats{};
-    slot->transient.abftChecks =
-        part.transient.abftChecks - trBefore.abftChecks;
-    slot->transient.abftMismatches =
-        part.transient.abftMismatches - trBefore.abftMismatches;
-    slot->transient.abftRetries =
-        part.transient.abftRetries - trBefore.abftRetries;
-    slot->transient.abftRetryCycles =
-        part.transient.abftRetryCycles - trBefore.abftRetryCycles;
-    slot->transient.abftUncorrected =
-        part.transient.abftUncorrected - trBefore.abftUncorrected;
-    slot->lastUse = ++memo.clock;
-    memo.index.emplace(part.planeHash, slotIdx);
-}
-
-void
-BitSerialEngine::clearMemos() const
-{
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        m->entries.clear();
-        m->index.clear();
-    }
-}
-
-std::uint64_t
-BitSerialEngine::memoHits() const
-{
-    std::uint64_t total = 0;
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        total += m->hits;
-    }
-    return total;
-}
-
-std::uint64_t
-BitSerialEngine::memoMisses() const
-{
-    std::uint64_t total = 0;
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        total += m->misses;
-    }
-    return total;
-}
-
-void
-BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
-                                 int rs, std::uint64_t opSeq,
-                                 Partial &part) const
+BitSerialEngine::runPhaseGroup(std::span<const Word> inputs,
+                               const PhaseGroup &g,
+                               std::span<const std::uint64_t> planes,
+                               std::uint64_t opSeq, Partial &part) const
 {
     const int slices = cfg.slicesPerWeight();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
+    const int rs = g.rs;
+    const int p = g.phases[0];
 
     const int used = tile(rs, 0).usedRows;
-    // Clean configurations take the packed bit-plane path: the digit
-    // vector is packed once per (phase, row segment) and every tile
-    // either replays a memoized reading of that vector or computes
-    // it from popcounts. Both produce bit-identical values and
-    // counter deltas to the scalar loop below (tests assert it).
-    const bool fast = fastPathActive();
-    // Read-noise draws are keyed by the op number, so a memoized
-    // reading of a digit vector is not a replay of the next read.
-    const bool memo = fast && cfg.memoEntries > 0 &&
-        !cfg.noise.readNoiseEnabled();
-    if (fast) {
-        packDigitPlanes(inputs, p, rs, used, part);
-    } else {
+    // The packed path arrives with its digit planes; the scalar
+    // read primitive wants one digit per row.
+    if (planes.empty()) {
         auto &digits = part.digits;
         digits.assign(static_cast<std::size_t>(used), 0);
         for (int r = 0; r < used; ++r) {
@@ -559,7 +366,10 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
             }
         }
     }
-    part.stats.dacActivations += static_cast<std::uint64_t>(used);
+    // The DAC streams every member phase.
+    part.stats.dacActivations +=
+        static_cast<std::uint64_t>(used) * g.count;
+    const auto repeats = static_cast<std::uint64_t>(g.count - 1);
 
     for (int cs = 0; cs < _colSegments; ++cs) {
         const auto &t = tile(rs, cs);
@@ -568,27 +378,50 @@ BitSerialEngine::runPhaseSegment(std::span<const Word> inputs, int p,
             rs * _colSegments + cs)];
         const bool checking = cfg.abftChecksum && t.abftOk;
 
+        const EngineStats statsBefore = part.stats;
+        const AdcTally tallyBefore = tileTally;
+        const resilience::TransientStats trBefore = part.transient;
         Acc unit = 0;
-        bool replayed = false;
-        if (memo)
-            replayed = memoReplay(rs, cs, part, unit);
-        if (!replayed) {
-            const EngineStats statsBefore = part.stats;
-            const AdcTally tallyBefore = tileTally;
-            const resilience::TransientStats trBefore =
-                part.transient;
-            evalTilePhase(t, dataCols, checking, fast, p, opSeq, part,
-                          tileTally, unit);
-            if (memo) {
-                memoInsert(rs, cs, part, unit, statsBefore,
-                           tallyBefore, trBefore);
-            }
+        evalTilePhase(t, dataCols, checking, planes, p, opSeq, part,
+                      tileTally, unit);
+        if (repeats) {
+            // The other members present the same digit vector to the
+            // same noise-free array, so their reads would repeat this
+            // one exactly: charge each the same counter deltas,
+            // including the array's own read cycles.
+            const auto rep = [repeats](std::uint64_t now,
+                                       std::uint64_t before) {
+                return (now - before) * repeats;
+            };
+            const std::uint64_t reads = rep(part.stats.crossbarReads,
+                                            statsBefore.crossbarReads);
+            part.stats.crossbarReads += reads;
+            part.stats.adcSamples +=
+                rep(part.stats.adcSamples, statsBefore.adcSamples);
+            tileTally.samples +=
+                rep(tileTally.samples, tallyBefore.samples);
+            tileTally.clips += rep(tileTally.clips, tallyBefore.clips);
+            tileTally.bitCycles +=
+                rep(tileTally.bitCycles, tallyBefore.bitCycles);
+            auto &tr = part.transient;
+            tr.abftChecks += rep(tr.abftChecks, trBefore.abftChecks);
+            tr.abftMismatches +=
+                rep(tr.abftMismatches, trBefore.abftMismatches);
+            tr.abftRetries += rep(tr.abftRetries, trBefore.abftRetries);
+            tr.abftRetryCycles +=
+                rep(tr.abftRetryCycles, trBefore.abftRetryCycles);
+            tr.abftUncorrected +=
+                rep(tr.abftUncorrected, trBefore.abftUncorrected);
+            t.array->chargeReadCycles(reads);
         }
 
-        mergeTilePhase(t, cs, p, unit, part,
-                       twosComp ? std::span<Acc>(part.result)
-                                : std::span<Acc>(part.rawSum),
-                       part.unitTotal);
+        for (int i = 0; i < g.count; ++i) {
+            mergeTilePhase(t, cs, g.phases[static_cast<std::size_t>(i)],
+                           unit, part,
+                           twosComp ? std::span<Acc>(part.result)
+                                    : std::span<Acc>(part.rawSum),
+                           part.unitTotal);
+        }
     }
 }
 
@@ -712,11 +545,13 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
 
 void
 BitSerialEngine::evalTilePhase(const ArrayTile &t, int dataCols,
-                               bool checking, bool fast, int p,
-                               std::uint64_t opSeq, Partial &part,
-                               AdcTally &tileTally, Acc &unit) const
+                               bool checking,
+                               std::span<const std::uint64_t> planes,
+                               int p, std::uint64_t opSeq,
+                               Partial &part, AdcTally &tileTally,
+                               Acc &unit) const
 {
-    if (fast) {
+    if (!planes.empty()) {
         // The packed read yields the noise-free sums; the attempt's
         // draws land on exactly the columns the ladder samples, which
         // is all a scalar read's draws are observed through.
@@ -724,8 +559,7 @@ BitSerialEngine::evalTilePhase(const ArrayTile &t, int dataCols,
         evalTileAttempts(
             t, dataCols, checking, part, tileTally, unit,
             [&](int attempt) -> const std::vector<Acc> & {
-                t.array->readAllBitlinesPacked(part.digitPlanes,
-                                               cfg.dacBits,
+                t.array->readAllBitlinesPacked(planes, cfg.dacBits,
                                                part.currents);
                 if (noisy) {
                     addReadNoise(t, dataCols, checking,
@@ -762,12 +596,52 @@ BitSerialEngine::dotProductAt(std::span<const Word> inputs,
     const int phases = cfg.phases();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
 
-    // One task per (phase, row segment); partial sums, stats, and
-    // ADC tallies land in per-worker accumulators. 64-bit integer
-    // addition is associative, so any partitioning merges to the
-    // exact serial result.
-    const auto tasks =
-        static_cast<std::int64_t>(phases) * _rowSegments;
+    // Stage the digit planes once per row segment (fast path) and
+    // group phases: on a clean packed engine every phase whose digit
+    // vector equals an earlier one's shares that phase's tile
+    // readings, which is common — sign-extended small activations
+    // repeat their high phases, and ReLU'd ones present all-zero
+    // vectors there. Read noise draws per (op, phase), so noisy reads
+    // never share, and the scalar path keeps one group per phase.
+    const bool fast = fastPathActive();
+    const bool share = fast && !cfg.noise.readNoiseEnabled();
+    const auto phaseWords =
+        static_cast<std::size_t>(cfg.dacBits) * ((cfg.rows + 63) / 64);
+    std::vector<std::vector<std::uint64_t>> planes(
+        static_cast<std::size_t>(fast ? _rowSegments : 0));
+    std::vector<PhaseGroup> groups;
+    groups.reserve(static_cast<std::size_t>(phases) * _rowSegments);
+    for (int rs = 0; rs < _rowSegments; ++rs) {
+        const std::size_t firstGroup = groups.size();
+        const std::uint64_t *dig = nullptr;
+        if (fast) {
+            auto &mine = planes[static_cast<std::size_t>(rs)];
+            packBitPlanesBatch(inputs, 0, 1, rs, tile(rs, 0).usedRows,
+                               mine);
+            dig = mine.data();
+        }
+        const auto slice = [&](int p) {
+            return dig + static_cast<std::size_t>(p) * phaseWords;
+        };
+        for (int p = 0; p < phases; ++p) {
+            auto g = std::find_if(
+                groups.begin() + static_cast<std::ptrdiff_t>(firstGroup),
+                groups.end(), [&](const PhaseGroup &h) {
+                    return share &&
+                        std::equal(slice(p), slice(p) + phaseWords,
+                                   slice(h.phases[0]));
+                });
+            if (g == groups.end())
+                g = groups.insert(groups.end(), PhaseGroup{rs});
+            g->phases[static_cast<std::size_t>(g->count++)] = p;
+        }
+    }
+
+    // One task per phase group; partial sums, stats, and ADC tallies
+    // land in per-worker accumulators. 64-bit integer addition is
+    // associative, so any partitioning merges to the exact serial
+    // result.
+    const auto tasks = static_cast<std::int64_t>(groups.size());
     const int workers = parallelWorkers(cfg.threads, tasks);
     std::vector<Partial> parts(static_cast<std::size_t>(workers));
     for (auto &part : parts) {
@@ -779,9 +653,16 @@ BitSerialEngine::dotProductAt(std::span<const Word> inputs,
     }
 
     parallelFor(tasks, cfg.threads, [&](std::int64_t task, int w) {
-        runPhaseSegment(inputs, static_cast<int>(task / _rowSegments),
-                        static_cast<int>(task % _rowSegments), opSeq,
-                        parts[static_cast<std::size_t>(w)]);
+        const auto &g = groups[static_cast<std::size_t>(task)];
+        std::span<const std::uint64_t> gPlanes;
+        if (fast) {
+            gPlanes = std::span(planes[static_cast<std::size_t>(g.rs)])
+                          .subspan(static_cast<std::size_t>(g.phases[0]) *
+                                       phaseWords,
+                                   phaseWords);
+        }
+        runPhaseGroup(inputs, g, gPlanes, opSeq,
+                      parts[static_cast<std::size_t>(w)]);
     });
 
     // Merge the per-worker partials (slot order; the sums are
@@ -1286,10 +1167,9 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
     // thread count, and later calls observe the same sequence.
     const std::uint64_t opSeq0 = _opSeq.fetch_add(
         static_cast<std::uint64_t>(count), std::memory_order_relaxed);
-    if (!fastPathActive() || !cfg.batchWindows) {
-        // Drifting / fault-injected / scalar-oracle engines, and the
-        // per-window configuration: each window is one dotProduct()
-        // under its claimed op number.
+    if (!fastPathActive()) {
+        // Drifting / fault-injected / scalar-oracle engines: each
+        // window is one dotProduct() under its claimed op number.
         parallelFor(count, cfg.threads, [&](std::int64_t i, int) {
             const auto r = dotProductAt(
                 inputs.subspan(static_cast<std::size_t>(i) * _numInputs,
@@ -1483,18 +1363,6 @@ BitSerialEngine::resetStats()
     adc.resetStats();
     for (auto &t : tiles)
         t.array->resetStats();
-    // The memo is a counter the engine owns too: drop the cached
-    // entries AND the hit/miss diagnostics, so a replayed campaign
-    // reports exactly what a fresh engine would instead of stale
-    // lifetime counts against a pre-warmed cache.
-    for (auto &m : memos) {
-        std::lock_guard<std::mutex> lock(m->m);
-        m->entries.clear();
-        m->index.clear();
-        m->clock = 0;
-        m->hits = 0;
-        m->misses = 0;
-    }
     // Rewind the op counter so a replayed workload draws the same
     // noise/drift/retry realization a fresh engine would (the arrays
     // rewind their own sequences above).
@@ -1636,14 +1504,12 @@ BitSerialEngine::injectCellFault(int rs, int cs, int row, int col,
     auto &t = tile(rs, cs);
     t.array->forceStuck(row, col, level);
     // Stored levels no longer match what programming left behind, so
-    // the packed fast path and every memoized reading stand down —
-    // the campaign tests rely on the scalar path re-observing the
+    // the packed fast path stands down — the campaign tests rely on the scalar path re-observing the
     // corrupted cell on every subsequent read. The per-tile taint
     // lets repairTile() re-arm the fast path once the last injured
     // tile is rebuilt.
     t.tainted = true;
     _injected.store(true, std::memory_order_relaxed);
-    clearMemos();
 }
 
 TileRepairReport
@@ -1706,7 +1572,6 @@ BitSerialEngine::repairTile(int rs, int cs)
     for (const auto &other : tiles)
         tainted = tainted || other.tainted;
     _injected.store(tainted, std::memory_order_relaxed);
-    clearMemos();
     return report;
 }
 

@@ -34,11 +34,11 @@
 #ifndef ISAAC_XBAR_ENGINE_H
 #define ISAAC_XBAR_ENGINE_H
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/epoch_log.h"
@@ -129,44 +129,20 @@ struct EngineConfig
      * injectCellFault() activity, every bitline sum is computed as
      * popcounts over 64-bit bit-planes of the stored levels instead
      * of the scalar O(rows x cols) loop, and the ABFT checksum is
-     * verified digitally from the same packed sums. Read noise rides
-     * along: each sampled column of a packed reading gets the same
-     * counter-keyed draw the scalar read adds to it. Results,
-     * EngineStats, per-tile AdcTally, and TransientStats are
+     * verified digitally from the same packed sums. dotProduct()
+     * reads each distinct phase digit vector of a row segment once
+     * and charges the repeats' counters (phase dedupe, clean engines
+     * only); dotProductBatch() evaluates all of a layer's windows per
+     * tile-phase in one popcount GEMM (xbar/batch_kernel.h). Read
+     * noise rides along: each sampled column of a packed reading gets
+     * the same counter-keyed draw the scalar read adds to it.
+     * Results, EngineStats, per-tile AdcTally, and TransientStats are
      * bit-identical either way (tests assert it); false forces the
      * scalar path, the oracle the packed tier is tested against.
      * Drifting and fault-injected engines always take the scalar
      * path regardless of this knob. See docs/performance.md.
      */
     bool fastPath = true;
-
-    /**
-     * Per-tile LRU memo capacity for the fast path: a (phase, row
-     * segment) whose digit vector was already evaluated against a
-     * tile replays the cached quantized columns, unit reading, and
-     * counter deltas instead of re-reading — conv windows and
-     * sign-extended high phases repeat digit vectors heavily. 0
-     * disables memoization. Replayed deltas equal computed deltas,
-     * so results and all counters stay exact at any hit pattern.
-     * Engines with read noise bypass the memo: every read draws
-     * fresh noise, so no reading is replayable.
-     */
-    int memoEntries = 64;
-
-    /**
-     * Batched window execution: when the fast path is active,
-     * dotProductBatch() — which CompiledModel drives every window of
-     * a shared-kernel layer through — stages the whole layer's digit
-     * planes into one plane-major bit-matrix and evaluates all
-     * windows per tile-phase in a single popcount GEMM
-     * (xbar/batch_kernel.h). Results, EngineStats, per-tile AdcTally,
-     * and TransientStats are bit-identical to per-window dotProduct()
-     * calls (tests assert it); only the diagnostic memo hit/miss
-     * split differs (the batched path does not consult the memo).
-     * false makes dotProductBatch() run its windows one by one on
-     * the per-window path (memo included).
-     */
-    bool batchWindows = true;
 
     /**
      * The ADC resolution/energy policy (xbar/adc_policy.h): one
@@ -293,21 +269,19 @@ class BitSerialEngine
      * path the digit planes of every window are staged once per
      * (phase, row segment) into a plane-major bit-matrix and each
      * tile is evaluated for all windows in one popcount GEMM — the
-     * per-call staging, dispatch, and memo-probe overhead of
-     * dotProduct() is paid once per layer instead of once per
-     * window. Results and every counter (EngineStats, per-tile
-     * AdcTally, TransientStats, array read cycles) are bit-identical
-     * to `count` sequential dotProduct() calls at any thread count
-     * and any dispatch tier, read noise included: window i runs as
-     * operation opSeq0 + i of the contiguous range the call claims,
-     * which keys its noise draws exactly as the i-th sequential call
-     * would; only memoHits()/memoMisses() differ (diagnostic-only;
-     * this path bypasses the memo). Drifting or fault-injected
-     * engines, fastPath = false, and batchWindows = false run the
-     * windows (in parallel) as per-window dotProduct() evaluations
-     * under those same op numbers, so the batch entry point is
-     * always safe to use and never depends on thread timing.
-     * Thread-safe like dotProduct().
+     * per-call staging and dispatch overhead of dotProduct() is paid
+     * once per layer instead of once per window. Results and every
+     * counter (EngineStats, per-tile AdcTally, TransientStats, array
+     * read cycles) are bit-identical to `count` sequential
+     * dotProduct() calls at any thread count and any dispatch tier,
+     * read noise included: window i runs as operation opSeq0 + i of
+     * the contiguous range the call claims, which keys its noise
+     * draws exactly as the i-th sequential call would. Drifting or
+     * fault-injected engines and fastPath = false run the windows (in
+     * parallel) as per-window dotProduct() evaluations under those
+     * same op numbers, so the batch entry point is always safe to use
+     * and never depends on thread timing. Thread-safe like
+     * dotProduct().
      */
     std::vector<Acc> dotProductBatch(std::span<const Word> inputs,
                                      int count) const;
@@ -334,12 +308,10 @@ class BitSerialEngine
     EngineStats stats() const;
 
     /**
-     * Zero every counter the engine owns: the EngineStats tallies,
-     * the ADC sample/clip counts, each tile's crossbar read cycles,
-     * and the digit-vector memo state (cached entries *and* the
-     * hit/miss diagnostics), so post-reset accounting starts from
-     * zero and a replayed campaign reports the same diagnostics a
-     * fresh engine would.
+     * Zero every counter the engine owns — the EngineStats tallies,
+     * the ADC sample/clip counts, each tile's crossbar read cycles —
+     * and rewind the op clock, so a replayed campaign draws and
+     * reports exactly what a fresh engine would.
      */
     void resetStats();
 
@@ -436,17 +408,6 @@ class BitSerialEngine
      */
     bool fastPathActive() const;
 
-    /**
-     * Digit-vector memo replay hits / misses (all tiles, since
-     * construction or the last resetStats()). Diagnostic only:
-     * concurrent dotProduct() calls may race to populate an entry,
-     * so the split is interleaving-dependent even though results and
-     * EngineStats never are — and dotProductBatch() bypasses the
-     * memo entirely.
-     */
-    std::uint64_t memoHits() const;
-    std::uint64_t memoMisses() const;
-
   private:
     /**
      * Cache-line-aligned: tiles sit adjacent in the `tiles` vector and
@@ -491,9 +452,6 @@ class BitSerialEngine
         std::vector<int> digits;  ///< Scratch input-digit buffer.
         std::vector<Acc> colQ;    ///< Scratch quantized columns.
         std::vector<Acc> currents; ///< Scratch bitline readings.
-        /** Scratch packed digit planes (dacBits x planeWords). */
-        std::vector<std::uint64_t> digitPlanes;
-        std::uint64_t planeHash = 0; ///< Hash of digitPlanes.
         /** Batched-path scratch: column-major block accumulator
          *  (numOutputs x n), per-window unit readings, and the
          *  per-output merged slice sums (runBatchBlock). */
@@ -506,52 +464,35 @@ class BitSerialEngine
     };
 
     /**
-     * One memoized (digit vector -> tile reading): the quantized
-     * data columns, the unit reading, and the exact counter deltas a
-     * fresh evaluation would produce, so a replay is indistinguishable
-     * from a recompute. Valid until the tile is reprogrammed or a
-     * fault is injected (both clear the memo).
+     * The row-segment phases one dotProduct() task evaluates: phases
+     * whose digit vectors are identical share one tile reading (the
+     * first member's) on clean packed engines, and are each a group
+     * of one otherwise.
      */
-    struct MemoEntry
+    struct PhaseGroup
     {
-        std::uint64_t hash = 0;
-        std::vector<std::uint64_t> key; ///< The packed digit planes.
-        std::vector<Acc> colQ;
-        Acc unit = 0;
-        std::uint64_t reads = 0; ///< crossbarReads delta (attempts).
-        AdcTally tally;          ///< ADC sample/clip delta.
-        resilience::TransientStats transient; ///< ABFT delta.
-        std::uint64_t lastUse = 0; ///< LRU clock.
-    };
-
-    /**
-     * Per-tile memo; the mutex shards contention across tiles. The
-     * hash index keeps lookups O(1) so large capacities (sized to a
-     * conv layer's windows x phases working set) stay cheap; it is a
-     * multimap because distinct keys may share an FNV hash (replay
-     * verifies full key equality before trusting an entry).
-     */
-    struct alignas(kCacheLineBytes) TileMemo
-    {
-        std::mutex m;
-        std::vector<MemoEntry> entries;
-        std::unordered_multimap<std::uint64_t, std::size_t> index;
-        std::uint64_t clock = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
+        int rs = 0;
+        int count = 0;
+        std::array<int, kDataBits> phases{};
     };
 
     ArrayTile &tile(int rs, int cs);
     const ArrayTile &tile(int rs, int cs) const;
 
     /**
-     * Evaluate phase p against row segment rs into `part`. `opSeq`
-     * is this dotProduct() call's operation number; together with p
-     * it keys the read-noise draw so any execution order reproduces
-     * the serial noise realization.
+     * Evaluate a phase group against its row segment into `part`:
+     * each tile is read once for the group's first phase, the other
+     * members are charged that read's counter deltas, and the reading
+     * is merged once per member phase. `planes` holds the group's
+     * packed digit planes on the fast path and is empty on the scalar
+     * path. `opSeq` is this dotProduct() call's operation number;
+     * together with the phase it keys the read-noise draw so any
+     * execution order reproduces the serial noise realization.
      */
-    void runPhaseSegment(std::span<const Word> inputs, int p, int rs,
-                         std::uint64_t opSeq, Partial &part) const;
+    void runPhaseGroup(std::span<const Word> inputs,
+                       const PhaseGroup &g,
+                       std::span<const std::uint64_t> planes,
+                       std::uint64_t opSeq, Partial &part) const;
 
     /** dotProduct() as operation number `opSeq` (already claimed). */
     std::vector<Acc> dotProductAt(std::span<const Word> inputs,
@@ -583,14 +524,6 @@ class BitSerialEngine
                       std::vector<Acc> &currents) const;
 
     /**
-     * Extract phase p's input digits for row segment rs directly
-     * into part.digitPlanes (bypassing the scalar digit buffer) and
-     * hash them for the memo key.
-     */
-    void packDigitPlanes(std::span<const Word> inputs, int p, int rs,
-                         int used, Partial &part) const;
-
-    /**
      * The bounded read-attempt loop every execution path shares:
      * `readFn(attempt)` supplies the bitline currents (and is
      * responsible for read-cycle accounting), everything else — ADC
@@ -607,11 +540,13 @@ class BitSerialEngine
 
     /**
      * Fresh evaluation of phase p on one tile: evalTileAttempts with
-     * the scalar or packed single-vector read primitive (`fast`
-     * picks which), operation `opSeq` keying noise and drift.
+     * the packed single-vector read of `planes` (the phase's digit
+     * planes) or, when `planes` is empty, the scalar read of
+     * part.digits; operation `opSeq` keys noise and drift.
      */
     void evalTilePhase(const ArrayTile &t, int dataCols,
-                       bool checking, bool fast, int p,
+                       bool checking,
+                       std::span<const std::uint64_t> planes, int p,
                        std::uint64_t opSeq, Partial &part,
                        AdcTally &tileTally, Acc &unit) const;
 
@@ -630,7 +565,8 @@ class BitSerialEngine
                         Acc &unitTotal) const;
 
     /**
-     * Stage-in for the batched path: pack ALL 16 data bits of
+     * Stage-in for both packed paths (dotProduct() packs its one
+     * window with n = 1): pack ALL 16 data bits of
      * windows [first, first + n) for row segment rs into one
      * plane-major bit-matrix dig[(b * words + w) * n + i] (b the bit
      * of the streamed 16-bit value: the raw two's-complement word,
@@ -641,7 +577,9 @@ class BitSerialEngine
      * at bit p * dacBits: two's complement streams bit p with a
      * 1-bit DAC (EngineConfig::validate pins dacBits there) and
      * biased mode streams digit bits [p*v, (p+1)*v), so in both
-     * modes plane j of phase p is plane p * dacBits + j here.
+     * modes plane j of phase p is plane p * dacBits + j here. With
+     * n = 1 that slice is exactly the dacBits x planeWords() layout
+     * readAllBitlinesPacked() takes.
      */
     void packBitPlanesBatch(std::span<const Word> inputs, int first,
                             int n, int rs, int used,
@@ -659,22 +597,6 @@ class BitSerialEngine
     void runBatchBlock(std::span<const Word> inputs, int first, int n,
                        std::uint64_t firstOp, std::span<Acc> out,
                        Acc *unitTotals, Partial &part) const;
-
-    /**
-     * Replay a memoized reading of tile (rs, cs) for the digit
-     * planes in `part`, merging the cached colQ/unit/counter deltas.
-     * Returns false on a miss (the caller evaluates and inserts).
-     */
-    bool memoReplay(int rs, int cs, Partial &part, Acc &unit) const;
-
-    /** Insert a fresh evaluation's deltas into the tile memo. */
-    void memoInsert(int rs, int cs, const Partial &part, Acc unit,
-                    const EngineStats &statsBefore,
-                    const AdcTally &tallyBefore,
-                    const resilience::TransientStats &trBefore) const;
-
-    /** Drop every tile's memo (reprogram / fault injection). */
-    void clearMemos() const;
 
     /** Program one tile; returns the cell writes performed. */
     std::int64_t programTile(ArrayTile &t,
@@ -734,8 +656,6 @@ class BitSerialEngine
     /** Incremental fold into _folded; caller holds _foldMutex. */
     void foldLocked() const;
 
-    /** Per-tile digit-vector memos (each owns its mutex). */
-    mutable std::vector<std::unique_ptr<TileMemo>> memos;
     /** injectCellFault() happened: stored levels no longer match
      *  what programming left, so the packed path stands down. */
     mutable std::atomic<bool> _injected{false};
@@ -748,7 +668,6 @@ class BitSerialEngine
     // inside this header.
     static constexpr std::size_t kArrayTileAlign = alignof(ArrayTile);
     static constexpr std::size_t kPartialAlign = alignof(Partial);
-    static constexpr std::size_t kTileMemoAlign = alignof(TileMemo);
 };
 
 } // namespace isaac::xbar

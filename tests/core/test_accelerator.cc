@@ -80,11 +80,11 @@ TEST(Accelerator, MultiSegmentLayersBitExact)
 
 TEST(Accelerator, BatchedWindowExecutionIsInvisible)
 {
-    // engine.batchWindows only changes how dotProductBatch() drives
-    // a layer's windows (one popcount GEMM vs per-window packed
-    // reads); every layer output and every engine counter must be
-    // identical.
-    // Multi-segment conv layers stress the tiled path.
+    // The batched popcount GEMM that drives a layer's windows must be
+    // invisible against the scalar oracle (fastPath = false, one
+    // scalar read per window and phase): every layer output and every
+    // engine counter identical. Multi-segment conv layers stress the
+    // tiled path.
     nn::NetworkBuilder b("batch-net", 8, 8, 8);
     b.conv(5, 24, 1, 0); // dot length 200, 24 outputs, 16 windows
     b.conv(3, 8, 1, 0);
@@ -94,13 +94,13 @@ TEST(Accelerator, BatchedWindowExecutionIsInvisible)
     const CompileOptions opts;
     const auto input = nn::synthesizeInput(8, 8, 8, 9, opts.format);
 
-    arch::IsaacConfig batched; // default: batchWindows on
-    ASSERT_TRUE(batched.engine.batchWindows);
-    arch::IsaacConfig perWindow;
-    perWindow.engine.batchWindows = false;
+    arch::IsaacConfig batched; // default: packed tier, batched GEMM
+    ASSERT_TRUE(batched.engine.fastPath);
+    arch::IsaacConfig scalar;
+    scalar.engine.fastPath = false;
 
     const auto ma = Accelerator(batched).compile(net, weights, opts);
-    const auto mb = Accelerator(perWindow).compile(net, weights, opts);
+    const auto mb = Accelerator(scalar).compile(net, weights, opts);
     const auto ra = ma.inferAll(input);
     const auto rb = mb.inferAll(input);
     ASSERT_EQ(ra.size(), rb.size());

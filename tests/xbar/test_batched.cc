@@ -295,10 +295,9 @@ TEST(Batched, GoldenEquivalenceSweep)
         EngineConfig scalar = point.cfg;
         scalar.threads = 1;
         scalar.fastPath = false;
-        scalar.memoEntries = 0;
 
         // Counts straddle the block-size clamp (min 8) and include a
-        // repeated window (the memo-free batch must not care).
+        // repeated window.
         for (const int count : {1, 5, 13}) {
             auto inputs = randomWords(rng, n * count);
             if (count >= 3)
@@ -378,7 +377,6 @@ readNoiseSweep(InputMode mode, bool abft)
                 EngineConfig scalar = cfg;
                 scalar.threads = 1;
                 scalar.fastPath = false;
-                scalar.memoEntries = 0;
                 const std::string point =
                     std::string(adaptive ? "adaptive" : "fixed") +
                     " stuck-on " + std::to_string(stuck) +
@@ -462,7 +460,6 @@ TEST(Batched, EveryCompiledTierIsInvisibleAtEngineLevel)
     EngineConfig scalar;
     scalar.threads = 1;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
     const auto golden =
         runSequential(scalar, weights, n, m, inputs, count);
 

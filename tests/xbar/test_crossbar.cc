@@ -3,6 +3,8 @@
  * Crossbar-array tests: programming, Kirchhoff bitline sums, noise.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -121,6 +123,38 @@ TEST(Crossbar, NoiseIsDeterministicPerSeed)
         return reads;
     };
     EXPECT_EQ(runOnce(), runOnce());
+}
+
+TEST(Crossbar, ReadNoiseIsSaltedPerInstance)
+{
+    // An engine salts each tile's setNoise() with its index, so tiles
+    // whose partial sums are added digitally draw independent jitter.
+    // Salt 0 keeps the historical stream: one Gaussian from an Rng
+    // seeded by seed + golden * (seq * 131071 + col + 1).
+    NoiseSpec spec;
+    spec.sigmaLsb = 2.0;
+    spec.seed = 4321;
+    CrossbarArray a(4, 4, 2), b(4, 4, 2);
+    a.setNoise(spec, 0);
+    b.setNoise(spec, 1);
+    const Acc clean = 1000; // far from the clamp at 0
+    int differ = 0;
+    for (std::uint64_t seq = 0; seq < 500; ++seq) {
+        for (int col = 0; col < 4; ++col) {
+            Rng rng(spec.seed +
+                    0x9E3779B97F4A7C15ull *
+                        (seq * 131071ull +
+                         static_cast<std::uint64_t>(col) + 1ull));
+            const Acc historical =
+                clean + static_cast<Acc>(std::llround(
+                            rng.gaussian() * spec.sigmaLsb));
+            EXPECT_EQ(a.applyReadNoise(clean, seq, col), historical);
+            differ += a.applyReadNoise(clean, seq, col) !=
+                b.applyReadNoise(clean, seq, col);
+        }
+    }
+    // Two independent N(0, 2) roundings agree about 1 time in 5.
+    EXPECT_GT(differ, 1200);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * Packed bit-plane fast path + digit-vector memoization: the golden
+ * Packed bit-plane fast path + per-call phase dedupe: the golden
  * equivalence suite. The fast path is only allowed to exist because
  * it is *invisible* — results, EngineStats, per-tile AdcTally, and
  * TransientStats must be bit-identical to the legacy scalar path for
- * every configuration and thread count, memo hits included. These
+ * every configuration and thread count, shared phases included. These
  * tests sweep the encoding space, prove the dispatch rules
  * (drifting/injected configs fall back to scalar; read noise runs
  * packed and matches the scalar oracle's noise realization), and
@@ -83,7 +83,10 @@ expectTracesEqual(const RunTrace &a, const RunTrace &b,
         EXPECT_EQ(a.tiles[i].samples, b.tiles[i].samples)
             << "tile " << i;
         EXPECT_EQ(a.tiles[i].clips, b.tiles[i].clips) << "tile " << i;
+        EXPECT_EQ(a.tiles[i].bitCycles, b.tiles[i].bitCycles)
+            << "tile " << i;
     }
+    EXPECT_TRUE(a.transient == b.transient);
     EXPECT_EQ(a.readCycles, b.readCycles);
     EXPECT_EQ(a.adcClips, b.adcClips);
 }
@@ -151,6 +154,36 @@ sweepPoints()
         p.cfg.noise.maxProgramPulses = 6;
         points.push_back(p);
     }
+    {
+        // Adaptive ADC: the per-cycle resolution (and so bitCycles)
+        // follows each reading's unit column.
+        SweepPoint p{"adaptive-abft-spares2", {}};
+        p.cfg.adcPolicy = AdcPolicy::adaptive();
+        p.cfg.spareCols = 2;
+        p.cfg.abftChecksum = true;
+        p.cfg.noise.stuckAtFraction = 0.01;
+        p.cfg.noise.stuckMode = StuckMode::RandomLevel;
+        points.push_back(p);
+    }
+    {
+        SweepPoint p{"biased-adaptive-abft-spares2", {}};
+        p.cfg.dacBits = 2;
+        p.cfg.inputMode = InputMode::Biased;
+        p.cfg.adcPolicy = AdcPolicy::adaptive();
+        p.cfg.spareCols = 2;
+        p.cfg.abftChecksum = true;
+        p.cfg.noise.stuckAtFraction = 0.01;
+        p.cfg.noise.stuckMode = StuckMode::RandomLevel;
+        points.push_back(p);
+    }
+    {
+        // An under-sized converter clips, so ABFT checks mismatch,
+        // retry and give up: every transient counter moves.
+        SweepPoint p{"clipping-abft", {}};
+        p.cfg.adcPolicy = AdcPolicy::fixed(5);
+        p.cfg.abftChecksum = true;
+        points.push_back(p);
+    }
     return points;
 }
 
@@ -159,87 +192,47 @@ TEST(FastPath, GoldenEquivalenceSweep)
     const int n = 200, m = 20; // 2 row segments x >=2 col segments
     Rng rng(0xFA57);
     const auto weights = randomWords(rng, n * m);
-    // Sequence with repeats and a small-magnitude vector: exercises
-    // memo hits within a call (sign-extended phases), across calls,
-    // and across distinct keys.
-    std::vector<std::vector<Word>> inputs;
-    inputs.push_back(randomWords(rng, n));
-    inputs.push_back(randomWords(rng, n, -50, 50));
-    inputs.push_back(inputs[0]);
-    inputs.push_back(randomWords(rng, n));
-    inputs.push_back(inputs[1]);
+    // Full-range vectors, with repeats across calls.
+    std::vector<std::vector<Word>> full;
+    full.push_back(randomWords(rng, n));
+    full.push_back(randomWords(rng, n, -50, 50));
+    full.push_back(full[0]);
+    full.push_back(randomWords(rng, n));
+    full.push_back(full[1]);
+    // Sign-extended small magnitudes: their high phases repeat one
+    // digit vector (all-zero, or all-ones rows where negative), so
+    // phase dedupe shares most tile readings within each call.
+    std::vector<std::vector<Word>> small;
+    small.push_back(randomWords(rng, n, -8, 7));
+    small.push_back(randomWords(rng, n, 0, 127)); // ReLU'd activations
+    small.push_back(std::vector<Word>(static_cast<std::size_t>(n), 0));
+    small.push_back(std::vector<Word>(static_cast<std::size_t>(n), -1));
+    small.push_back(randomWords(rng, n, -2, 1));
+    small.push_back(small[0]);
 
     for (const auto &point : sweepPoints()) {
         EngineConfig scalar = point.cfg;
         scalar.threads = 1;
         scalar.fastPath = false;
-        scalar.memoEntries = 0;
-        const auto golden =
-            runSequence(scalar, weights, n, m, inputs);
-
-        for (const int threads : {1, 2, 4, 8}) {
-            EngineConfig fast = point.cfg;
-            fast.threads = threads;
-            fast.fastPath = true;
-            fast.memoEntries = 0;
-            expectTracesEqual(
-                golden, runSequence(fast, weights, n, m, inputs),
-                std::string(point.name) + " fast t" +
-                    std::to_string(threads));
-
-            EngineConfig memo = point.cfg;
-            memo.threads = threads;
-            memo.fastPath = true;
-            memo.memoEntries = 64;
-            expectTracesEqual(
-                golden, runSequence(memo, weights, n, m, inputs),
-                std::string(point.name) + " memo t" +
-                    std::to_string(threads));
+        for (const auto *inputs : {&full, &small}) {
+            const std::string set = inputs == &full ? "full" : "small";
+            const auto golden =
+                runSequence(scalar, weights, n, m, *inputs);
+            if (std::string(point.name) == "clipping-abft") {
+                EXPECT_GT(golden.adcClips, 0u) << set;
+                EXPECT_GT(golden.transient.abftRetries, 0u) << set;
+            }
+            for (const int threads : {1, 2, 4, 8}) {
+                EngineConfig fast = point.cfg;
+                fast.threads = threads;
+                fast.fastPath = true;
+                expectTracesEqual(
+                    golden, runSequence(fast, weights, n, m, *inputs),
+                    std::string(point.name) + " " + set + " t" +
+                        std::to_string(threads));
+            }
         }
     }
-}
-
-TEST(FastPath, MemoActuallyEngagesAndStaysExact)
-{
-    EngineConfig cfg;
-    cfg.threads = 1;
-    Rng rng(0x5EED);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    ASSERT_TRUE(engine.fastPathActive());
-
-    const auto first = engine.dotProduct(x);
-    const auto missesAfterFirst = engine.memoMisses();
-    EXPECT_GT(missesAfterFirst, 0u);
-    // The second identical call replays every (phase, tile) reading.
-    const auto second = engine.dotProduct(x);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(engine.memoMisses(), missesAfterFirst);
-    EXPECT_EQ(engine.memoHits(), missesAfterFirst);
-    // Counter parity with an unmemoized engine over the same ops.
-    EngineConfig plain = cfg;
-    plain.memoEntries = 0;
-    BitSerialEngine reference(plain, weights, 128, 16);
-    reference.dotProduct(x);
-    reference.dotProduct(x);
-    EXPECT_TRUE(engine.stats() == reference.stats());
-    EXPECT_EQ(engine.readCycles(), reference.readCycles());
-}
-
-TEST(FastPath, SmallMagnitudeInputsShareSignPhases)
-{
-    // Non-negative small activations (a ReLU'd, quantized layer's
-    // reality): bits 7..15 are all zero, so 9 of the 16 phases
-    // present the all-zero digit vector and hit one memo entry.
-    EngineConfig cfg;
-    cfg.threads = 1;
-    Rng rng(0xAC71);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128, 0, 127);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    engine.dotProduct(x);
-    EXPECT_GE(engine.memoHits(), 8u);
 }
 
 TEST(FastPath, InvalidationOnReprogram)
@@ -255,10 +248,9 @@ TEST(FastPath, InvalidationOnReprogram)
     BitSerialEngine engine(cfg, w1, n, m);
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
 
     // program -> read -> reprogram -> read: the second read must see
-    // the new weights, not a memoized reading of the old ones.
+    // the new weights, not packed planes of the old ones.
     {
         BitSerialEngine ref(scalar, w1, n, m);
         EXPECT_EQ(engine.dotProduct(x), ref.dotProduct(x));
@@ -282,15 +274,13 @@ TEST(FastPath, NoisyConfigRunsPackedAndMatchesScalar)
     BitSerialEngine engine(noisy, weights, 128, 16);
     EXPECT_TRUE(engine.fastPathActive());
     const auto got = engine.dotProduct(x);
-    // The same digit vectors again: read noise bypasses the memo,
-    // because the next read of a vector draws different noise.
+    // The same digit vectors again: every read draws fresh noise,
+    // keyed by (op, phase), so neither calls nor phases share reads.
     const auto again = engine.dotProduct(x);
-    EXPECT_EQ(engine.memoHits() + engine.memoMisses(), 0u);
 
     // The knob only picks the tier: identical noise realization.
     EngineConfig legacy = noisy;
     legacy.fastPath = false;
-    legacy.memoEntries = 0;
     BitSerialEngine ref(legacy, weights, 128, 16);
     EXPECT_FALSE(ref.fastPathActive());
     EXPECT_EQ(got, ref.dotProduct(x));
@@ -321,16 +311,15 @@ TEST(FastPath, InjectionDisablesFastPath)
     const auto x = randomWords(rng, 128);
 
     BitSerialEngine engine(cfg, weights, 128, 16);
-    engine.dotProduct(x); // populate the memo while clean
+    engine.dotProduct(x); // read packed while clean
     ASSERT_TRUE(engine.fastPathActive());
     engine.injectCellFault(0, 0, 3, 5, 0);
     EXPECT_FALSE(engine.fastPathActive());
 
     // Post-injection reads must match a scalar engine with the same
-    // injection — the memoized clean readings must not leak through.
+    // injection — the clean packed planes must not leak through.
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
     BitSerialEngine ref(scalar, weights, 128, 16);
     ref.dotProduct(x);
     ref.injectCellFault(0, 0, 3, 5, 0);
@@ -433,55 +422,27 @@ TEST(FastPath, PackedReadPlusNoiseMatchesScalarRead)
     EXPECT_FALSE(drifty.packedReadExact());
 }
 
-TEST(FastPath, MemoEntriesZeroDisablesMemo)
+TEST(FastPath, UnequalPhasesAreNeverShared)
 {
-    EngineConfig cfg;
-    cfg.threads = 1;
-    cfg.memoEntries = 0;
-    Rng rng(0x0FF);
-    const auto weights = randomWords(rng, 128 * 16);
-    const auto x = randomWords(rng, 128);
-    BitSerialEngine engine(cfg, weights, 128, 16);
-    EXPECT_TRUE(engine.fastPathActive()); // packed path, no memo
-    engine.dotProduct(x);
-    engine.dotProduct(x);
-    EXPECT_EQ(engine.memoHits() + engine.memoMisses(), 0u);
-}
-
-TEST(FastPath, HashCollisionsAreMissesNotWrongReplays)
-{
-    // Two distinct digit-plane keys engineered to share their FNV-1a
-    // hash: the memo index is a multimap and replay verifies the full
-    // key, so the second key must *miss* (and insert its own entry),
-    // never replay the first key's reading. The hash is FNV-1a over
-    // the plane words (h ^= w; h *= P), so for two-word keys
-    //   hash(a0, a1) == hash(b0, b1)  iff
-    //   ((OFF ^ a0) * P) ^ a1 == ((OFF ^ b0) * P) ^ b1.
-    constexpr std::uint64_t kOff = 14695981039346656037ull;
-    constexpr std::uint64_t kPrime = 1099511628211ull;
-    const std::uint64_t a0 = 0x0123456789ABCDEFull;
-    const std::uint64_t b0 = 0xFEDCBA9876543210ull;
-    const std::uint64_t b1 = 0x5555AAAA3333CCCCull;
-    const std::uint64_t a1 =
-        ((kOff ^ a0) * kPrime) ^ ((kOff ^ b0) * kPrime) ^ b1;
-    ASSERT_NE(a0, b0);
-
-    // Realize the keys as inputs: 128 rows = exactly two plane
-    // words, and inputs in {0, 1} put the key in phase 0's plane
-    // while phases 1..15 all present the all-zero plane.
-    const auto inputsFor = [](std::uint64_t w0, std::uint64_t w1) {
+    // Phases may share a tile reading only when their whole digit
+    // vector matches. 128 rows = two plane words; inputs in {0..3}
+    // put phase 0 and phase 1 on planes that agree on one word and
+    // differ on the other, while phases 2..15 present the all-zero
+    // vector (which they do share).
+    const std::uint64_t same = 0x0123456789ABCDEFull;
+    const std::uint64_t a = 0xFEDCBA9876543210ull;
+    const std::uint64_t b = 0x5555AAAA3333CCCCull;
+    const auto inputsFor = [](std::uint64_t p0w0, std::uint64_t p0w1,
+                              std::uint64_t p1w0, std::uint64_t p1w1) {
         std::vector<Word> x(128, 0);
         for (int r = 0; r < 64; ++r) {
-            x[static_cast<std::size_t>(r)] =
-                static_cast<Word>((w0 >> r) & 1);
-            x[static_cast<std::size_t>(64 + r)] =
-                static_cast<Word>((w1 >> r) & 1);
+            x[static_cast<std::size_t>(r)] = static_cast<Word>(
+                ((p0w0 >> r) & 1) | (((p1w0 >> r) & 1) << 1));
+            x[static_cast<std::size_t>(64 + r)] = static_cast<Word>(
+                ((p0w1 >> r) & 1) | (((p1w1 >> r) & 1) << 1));
         }
         return x;
     };
-    const auto xa = inputsFor(a0, a1);
-    const auto xb = inputsFor(b0, b1);
-
     EngineConfig cfg;
     cfg.threads = 1;
     Rng rng(0xC0111);
@@ -489,32 +450,23 @@ TEST(FastPath, HashCollisionsAreMissesNotWrongReplays)
     BitSerialEngine engine(cfg, weights, 128, 16);
     ASSERT_EQ(engine.rowSegments() * engine.colSegments(), 1);
     ASSERT_TRUE(engine.fastPathActive());
-
-    // Call 1: phase 0 misses (key A), phase 1 misses (all-zero),
-    // phases 2..15 hit the all-zero entry.
-    engine.dotProduct(xa);
-    EXPECT_EQ(engine.memoMisses(), 2u);
-    EXPECT_EQ(engine.memoHits(), 14u);
-
-    // Call 2: phase 0 collides with key A's hash but fails the full
-    // key compare -> a third miss, NOT a replay of A's reading.
-    const auto got = engine.dotProduct(xb);
-    EXPECT_EQ(engine.memoMisses(), 3u);
-    EXPECT_EQ(engine.memoHits(), 29u);
-
     EngineConfig scalar = cfg;
     scalar.fastPath = false;
-    scalar.memoEntries = 0;
     BitSerialEngine oracle(scalar, weights, 128, 16);
-    oracle.dotProduct(xa);
-    EXPECT_EQ(got, oracle.dotProduct(xb));
+
+    for (const auto &x : {inputsFor(same, a, same, b),
+                          inputsFor(a, same, b, same),
+                          inputsFor(a, b, a, b)}) {
+        EXPECT_EQ(engine.dotProduct(x), oracle.dotProduct(x));
+    }
+    EXPECT_TRUE(engine.stats() == oracle.stats());
+    EXPECT_EQ(engine.readCycles(), oracle.readCycles());
 }
 
-TEST(FastPath, ResetStatsClearsTheMemoForExactReplay)
+TEST(FastPath, ResetStatsReplaysExactly)
 {
-    // resetStats() promises a replayed campaign reports what a fresh
-    // engine would — which requires dropping the cached entries AND
-    // the hit/miss diagnostics, not just the EngineStats tallies.
+    // resetStats() promises a replayed run reports what a fresh
+    // engine would: same results, counters and read cycles.
     EngineConfig cfg;
     cfg.threads = 1;
     Rng rng(0x2E5E7);
@@ -528,51 +480,22 @@ TEST(FastPath, ResetStatsClearsTheMemoForExactReplay)
     engine.dotProduct(x);
     const auto firstResults = engine.dotProduct(y);
     const auto firstStats = engine.stats();
-    const auto firstHits = engine.memoHits();
-    const auto firstMisses = engine.memoMisses();
+    const auto firstTally = engine.tileAdcTally(0, 0);
     const auto firstCycles = engine.readCycles();
-    EXPECT_GT(firstHits, 0u);
-    EXPECT_GT(firstMisses, 0u);
 
     engine.resetStats();
-    EXPECT_EQ(engine.memoHits(), 0u);
-    EXPECT_EQ(engine.memoMisses(), 0u);
     EXPECT_EQ(engine.readCycles(), 0u);
     EXPECT_EQ(engine.stats(), EngineStats{});
 
-    // The replay is indistinguishable from the first run: same
-    // results, same counters, same hit/miss split (entries were
-    // dropped, so the misses really recompute).
     engine.dotProduct(x);
     engine.dotProduct(y);
     engine.dotProduct(x);
     EXPECT_EQ(engine.dotProduct(y), firstResults);
     EXPECT_TRUE(engine.stats() == firstStats);
-    EXPECT_EQ(engine.memoHits(), firstHits);
-    EXPECT_EQ(engine.memoMisses(), firstMisses);
+    EXPECT_EQ(engine.tileAdcTally(0, 0).samples, firstTally.samples);
+    EXPECT_EQ(engine.tileAdcTally(0, 0).bitCycles,
+              firstTally.bitCycles);
     EXPECT_EQ(engine.readCycles(), firstCycles);
-}
-
-TEST(FastPath, LruEvictionKeepsResultsExact)
-{
-    // More distinct digit vectors than memo entries: eviction churn
-    // must never change a result.
-    EngineConfig tiny;
-    tiny.threads = 1;
-    tiny.memoEntries = 2;
-    EngineConfig scalar;
-    scalar.threads = 1;
-    scalar.fastPath = false;
-    scalar.memoEntries = 0;
-    Rng rng(0x174);
-    const auto weights = randomWords(rng, 128 * 16);
-    BitSerialEngine a(tiny, weights, 128, 16);
-    BitSerialEngine b(scalar, weights, 128, 16);
-    for (int i = 0; i < 8; ++i) {
-        const auto x = randomWords(rng, 128);
-        EXPECT_EQ(a.dotProduct(x), b.dotProduct(x)) << "op " << i;
-    }
-    EXPECT_TRUE(a.stats() == b.stats());
 }
 
 } // namespace

@@ -377,7 +377,6 @@ TEST(AdcPolicy, AdaptiveDeltasAreSeedStableAcrossTiers)
         EngineConfig scalar = base;
         scalar.threads = 1;
         scalar.fastPath = false;
-        scalar.memoEntries = 0;
         const auto golden =
             runSequential(scalar, weights, n, m, inputs, count);
 
