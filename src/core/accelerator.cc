@@ -104,20 +104,19 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
     nn::Tensor out(l.no, l.outNx(), l.outNy());
     const std::int64_t windows =
         static_cast<std::int64_t>(l.outNx()) * l.outNy();
-    const auto &shared = engines[layerIdx][0];
-    if (!l.privateKernel && windows > 1) {
-        // Batched layer execution: stage every window's input vector
+    if (!l.privateKernel) {
+        // Shared-kernel layer: stage every window's input vector
         // once, then stream the whole layer through one
         // dotProductBatch() call — on the packed tier the engine
-        // packs each (phase, row segment)'s digit planes into a
-        // single plane-major bit-matrix and evaluates all windows per
-        // tile in one popcount GEMM, minus thousands of per-window
-        // staging/dispatch round trips. The call claims the layer's
-        // op numbers as one contiguous range in window order, so
-        // read-noise and drift realizations do not depend on which
-        // thread reached the engine first; results and counters are
-        // bit-identical to a serial per-window loop (tests assert
-        // it).
+        // packs each (block, row segment)'s digit planes into a
+        // plane-major bit-matrix and evaluates the block per tile in
+        // one popcount GEMM per distinct phase; a one-window layer is
+        // a one-window block. The call claims the layer's op numbers
+        // as one contiguous range in window order, so read-noise and
+        // drift realizations do not depend on which thread reached
+        // the engine first; results and counters are bit-identical to
+        // a serial per-window loop (tests assert it).
+        const auto &shared = engines[layerIdx][0];
         const int len = shared->numInputs();
         std::vector<Word> staged(
             static_cast<std::size_t>(windows) * len);
@@ -148,17 +147,16 @@ CompiledModel::runDotLayer(std::size_t layerIdx,
             });
         return out;
     }
-    // One window, or one private engine per window: each engine
-    // sees one operation per image, so issuing the windows in
-    // parallel cannot reorder any engine's op numbers.
+    // One private engine per window: each engine sees one operation
+    // per image, so issuing the windows in parallel cannot reorder
+    // any engine's op numbers.
     parallelFor(windows, cfg.threads(), [&](std::int64_t window, int) {
         const int ox = static_cast<int>(window / l.outNy());
         const int oy = static_cast<int>(window % l.outNy());
         const auto inputs = nn::gatherWindow(input, l, ox, oy);
-        const auto &engine = l.privateKernel
-            ? engines[layerIdx][static_cast<std::size_t>(window)]
-            : engines[layerIdx][0];
-        const auto sums = engine->dotProduct(inputs);
+        const auto sums =
+            engines[layerIdx][static_cast<std::size_t>(window)]
+                ->dotProduct(inputs);
         for (int k = 0; k < l.no; ++k) {
             const Word q = requantizeAcc(
                 sums[static_cast<std::size_t>(k)], opts.format);

@@ -37,9 +37,10 @@ batchedBitlineSumsImpl(const std::uint64_t *cellPlanes, int cols,
                        const std::uint64_t *dig, int digitBits, int n,
                        Acc *out, AccumRow accumRow)
 {
-    // Single-vector reads dominate the unbatched fast path (one call
-    // per tile-phase attempt); keep the digit words in registers
-    // across the whole column sweep for the common 1-bit-DAC shapes.
+    // Single-vector reads are what one-window calls (classifier
+    // layers, private-kernel engines) issue, one per tile and
+    // distinct phase; keep the digit words in registers across the
+    // whole column sweep for the common 1-bit-DAC shapes.
     if (n == 1 && digitBits == 1 && words == 1) {
         const std::uint64_t d0 = dig[0];
         const std::uint64_t *cellPlane = cellPlanes;
@@ -107,7 +108,9 @@ batchedBitlineSumsImpl(const std::uint64_t *cellPlanes, int cols,
  * multiplier in the engine's merge (slice weight 2^(s*w), phase
  * weight 2^(p*v), the 2^15 weight bias, the slice ceiling 2^w - 1)
  * is a power of two, which is what makes the vector tiers trivially
- * bit-exact: 64-bit shift/add/sub has exactly one answer.
+ * bit-exact: 64-bit shift/add/sub has exactly one answer. The engine
+ * also calls these directly for rows shorter than one vector, where
+ * the tier dispatch has nothing to win.
  */
 inline void
 scaleAddImpl(Acc *acc, const Acc *row, int shift, bool negate, int n)

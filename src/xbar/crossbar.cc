@@ -239,6 +239,8 @@ CrossbarArray::ensurePlanes() const
             _planes.assign(static_cast<std::size_t>(_cols) *
                                _cellBits * words,
                            0);
+            std::vector<Acc> columnSums(static_cast<std::size_t>(_cols),
+                                        0);
             for (int r = 0; r < _rows; ++r) {
                 const std::uint64_t bit = std::uint64_t{1}
                     << (r % 64);
@@ -249,6 +251,7 @@ CrossbarArray::ensurePlanes() const
                               c];
                     if (!level)
                         continue;
+                    columnSums[static_cast<std::size_t>(c)] += level;
                     for (int b = 0; b < _cellBits; ++b) {
                         if ((level >> b) & 1) {
                             _planes[static_cast<std::size_t>(
@@ -259,38 +262,12 @@ CrossbarArray::ensurePlanes() const
                     }
                 }
             }
+            _maxColumnSum = *std::max_element(columnSums.begin(),
+                                              columnSums.end());
             _planesValid.store(true, std::memory_order_release);
         }
     }
     return _planes.data();
-}
-
-void
-CrossbarArray::readAllBitlinesPacked(
-    std::span<const std::uint64_t> digitPlanes, int digitBits,
-    std::vector<Acc> &out) const
-{
-    const int words = planeWords();
-    if (digitBits < 1 ||
-        digitPlanes.size() !=
-            static_cast<std::size_t>(digitBits) * words) {
-        fatal("CrossbarArray::readAllBitlinesPacked: digit-plane "
-              "span does not match the array geometry");
-    }
-    if (!packedReadExact()) {
-        fatal("CrossbarArray::readAllBitlinesPacked: array has drift "
-              "configured; use readAllBitlines");
-    }
-    const std::uint64_t *planes = ensurePlanes();
-    _readCycles.fetch_add(1, std::memory_order_relaxed);
-    out.resize(static_cast<std::size_t>(_cols));
-    // One digit vector is the n == 1 degenerate case of the batched
-    // GEMM; going through the dispatcher means a host with POPCNT
-    // gets the hardware instruction even though this TU is compiled
-    // for baseline x86-64.
-    kernel::batchedBitlineSums(planes, _cols, _cellBits, words,
-                               digitPlanes.data(), digitBits, 1,
-                               out.data());
 }
 
 void
@@ -322,19 +299,9 @@ CrossbarArray::maxPackedReading(int digitBits) const
     // A packed reading of column c is
     //   sum_j 2^j * sum_r level(r, c) * digitBit(j, r)
     // so with every digit bit set it peaks at the column's level sum
-    // times (2^digitBits - 1). Column-strided walk over the stored
-    // levels; callers evaluate this once per tile block, not per
-    // read.
-    Acc best = 0;
-    for (int c = 0; c < _cols; ++c) {
-        Acc sum = 0;
-        for (int r = 0; r < _rows; ++r) {
-            sum += cells[static_cast<std::size_t>(r) * _cols +
-                         static_cast<std::size_t>(c)];
-        }
-        best = std::max(best, sum);
-    }
-    return best * ((Acc{1} << digitBits) - 1);
+    // times (2^digitBits - 1).
+    ensurePlanes();
+    return _maxColumnSum * ((Acc{1} << digitBits) - 1);
 }
 
 void

@@ -143,34 +143,24 @@ class CrossbarArray
     Acc applyReadNoise(Acc sum, std::uint64_t seq, int col) const;
 
     /**
-     * One packed crossbar read cycle: every bitline current computed
-     * as sum_b 2^b * sum_j 2^j * popcount(digitPlane[j] & plane[c][b])
-     * over the stored-level bit-planes. Bit-identical to a clean
-     * readAllBitlines() against the same input digits (the caller
-     * packs digit bit j of row r into bit r of digitPlanes[j]; rows
-     * beyond the input vector must be zero). `digitPlanes` holds
-     * digitBits planes of planeWords() words each. The sums carry no
-     * read noise even when it is configured: the caller adds it per
-     * sampled column with applyReadNoise(). fatal()s unless
+     * Packed crossbar read: `n` digit-vector sets evaluated against
+     * the stored bit-planes in one plane-major popcount GEMM
+     * (xbar/batch_kernel.h): every bitline current is
+     * sum_b 2^b * sum_j 2^j * popcount(digitPlane[j] & plane[c][b]).
+     * `digitPlanes` holds the plane-major bit-matrix
+     * dig[(j * planeWords() + w) * n + i] (window index i innermost;
+     * the caller packs digit bit j of row r into bit r of plane j,
+     * and rows beyond the input vector must be zero); `out` is
+     * resized to cols() * n with window i's reading of column c at
+     * out[c * n + i], bit-identical to a clean readAllBitlines()
+     * against the same digits. The sums carry no read noise even when
+     * it is configured: the caller adds it per sampled column with
+     * applyReadNoise(). This does NOT count read cycles: the engine
+     * charges one cycle per logical read *attempt* per window
+     * (chargeReadCycles), which keeps readCycles() exact under ABFT
+     * retries and shared phase readings. fatal()s unless
      * packedReadExact(). Thread-safe against other reads; the planes
      * are rebuilt lazily after any program()/forceStuck()/setNoise().
-     */
-    void readAllBitlinesPacked(
-        std::span<const std::uint64_t> digitPlanes, int digitBits,
-        std::vector<Acc> &out) const;
-
-    /**
-     * Batched packed read: `n` digit-vector sets evaluated against
-     * the stored planes in one plane-major popcount GEMM
-     * (xbar/batch_kernel.h). `digitPlanes` holds the plane-major
-     * bit-matrix dig[(j * planeWords() + w) * n + i] (window index i
-     * innermost); `out` is resized to cols() * n with window i's
-     * reading of column c at out[c * n + i], bit-identical to n
-     * readAllBitlinesPacked() calls (noise-free, like them). Unlike
-     * the single-vector read this does NOT count read cycles: the
-     * engine charges one cycle per logical read *attempt* per window
-     * (chargeReadCycles), which keeps readCycles() exact under ABFT
-     * retries. fatal()s unless packedReadExact().
      */
     void readAllBitlinesPackedBatch(
         std::span<const std::uint64_t> digitPlanes, int digitBits,
@@ -180,19 +170,21 @@ class CrossbarArray
      * Upper bound on any packed bitline reading of this array: the
      * largest per-column stored-level sum times the largest digit
      * value (2^digitBits - 1). Computed from the stored levels, so
-     * stuck and write-noised cells are included. The batched engine
-     * compares it against the ADC code ceiling once per tile block —
-     * when the bound fits, no reading of any column can clip (or go
-     * negative: levels and digits are non-negative), and the digital
-     * merge skips quantizer clamping entirely, bit-exactly.
+     * stuck and write-noised cells are included. O(1): the column
+     * sums are taken when the packed planes are rebuilt, under the
+     * same invalidation. The engine compares it against the ADC code
+     * ceiling per tile phase — when the bound fits, no reading of any
+     * column can clip (or go negative: levels and digits are
+     * non-negative), and the digital merge skips quantizer clamping
+     * entirely, bit-exactly.
      */
     Acc maxPackedReading(int digitBits) const;
 
     /**
      * Charge `n` read cycles without performing a read. The engine
-     * charges the batched GEMM's reads and the repeats of a shared
-     * phase reading through this, keeping readCycles() exactly equal
-     * to one read per attempt.
+     * charges the packed GEMM's reads through this, one per window
+     * per phase attempt (shared phase readings included), keeping
+     * readCycles() exactly equal to one read per attempt.
      */
     void
     chargeReadCycles(std::uint64_t n) const
@@ -271,7 +263,8 @@ class CrossbarArray
     /** Lazily build the epoch-0 susceptibility table. */
     const double *ensureSusceptibility() const;
 
-    /** Rebuild the packed planes if stale; returns the plane base. */
+    /** Rebuild the packed planes (and the largest column level sum)
+     *  if stale; returns the plane base. */
     const std::uint64_t *ensurePlanes() const;
     /** Mark the packed planes stale (any stored-level mutation). */
     void
@@ -294,7 +287,10 @@ class CrossbarArray
     std::uint64_t _programPulses = 0;
     /** Sequence for standalone single-bitline reads. */
     mutable std::atomic<std::uint64_t> _noiseSeq{0};
-    mutable std::atomic<std::uint64_t> _readCycles{0};
+    /** Bumped by every packed read on any worker: kept off the line
+     *  of the plane pointer and flag those reads load. */
+    alignas(kCacheLineBytes) mutable std::atomic<std::uint64_t>
+        _readCycles{0};
     /**
      * Packed bit-planes of the stored levels, one plane per (column,
      * cell bit): bit r of plane word r/64 is bit b of cell (r, c).
@@ -303,7 +299,9 @@ class CrossbarArray
      * Mutators (program/forceStuck/setNoise) only invalidate — they
      * must not overlap reads, per the class contract above.
      */
-    mutable std::vector<std::uint64_t> _planes;
+    alignas(kCacheLineBytes) mutable std::vector<std::uint64_t> _planes;
+    /** Largest per-column stored-level sum, rebuilt with _planes. */
+    mutable Acc _maxColumnSum = 0;
     mutable std::atomic<bool> _planesValid{false};
     mutable std::mutex _planesMutex;
     /**

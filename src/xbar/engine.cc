@@ -8,9 +8,18 @@
 #include "common/thread_pool.h"
 #include "resilience/remap.h"
 #include "xbar/batch_kernel.h"
+#include "xbar/batch_kernel_impl.h"
 #include "xbar/encoding.h"
 
 namespace isaac::xbar {
+
+namespace {
+
+/** Merge rows shorter than one AVX-512 vector of accumulators run
+ *  the portable body inline instead of through the tier dispatch. */
+constexpr int kInlineMergeRows = 8;
+
+} // namespace
 
 int
 EngineConfig::adcBits() const
@@ -336,96 +345,6 @@ BitSerialEngine::addReadNoise(const ArrayTile &t, int dataCols,
 }
 
 void
-BitSerialEngine::runPhaseGroup(std::span<const Word> inputs,
-                               const PhaseGroup &g,
-                               std::span<const std::uint64_t> planes,
-                               std::uint64_t opSeq, Partial &part) const
-{
-    const int slices = cfg.slicesPerWeight();
-    const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    const int rs = g.rs;
-    const int p = g.phases[0];
-
-    const int used = tile(rs, 0).usedRows;
-    // The packed path arrives with its digit planes; the scalar
-    // read primitive wants one digit per row.
-    if (planes.empty()) {
-        auto &digits = part.digits;
-        digits.assign(static_cast<std::size_t>(used), 0);
-        for (int r = 0; r < used; ++r) {
-            const Word x =
-                inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
-            if (twosComp) {
-                digits[static_cast<std::size_t>(r)] = bitOf(x, p);
-            } else {
-                const std::uint16_t y = static_cast<std::uint16_t>(
-                    static_cast<Acc>(x) + kWeightBias);
-                digits[static_cast<std::size_t>(r)] =
-                    digitOf(static_cast<Word>(y), p * cfg.dacBits,
-                            cfg.dacBits);
-            }
-        }
-    }
-    // The DAC streams every member phase.
-    part.stats.dacActivations +=
-        static_cast<std::uint64_t>(used) * g.count;
-    const auto repeats = static_cast<std::uint64_t>(g.count - 1);
-
-    for (int cs = 0; cs < _colSegments; ++cs) {
-        const auto &t = tile(rs, cs);
-        const int dataCols = t.localOutputs * slices;
-        auto &tileTally = part.tileAdc[static_cast<std::size_t>(
-            rs * _colSegments + cs)];
-        const bool checking = cfg.abftChecksum && t.abftOk;
-
-        const EngineStats statsBefore = part.stats;
-        const AdcTally tallyBefore = tileTally;
-        const resilience::TransientStats trBefore = part.transient;
-        Acc unit = 0;
-        evalTilePhase(t, dataCols, checking, planes, p, opSeq, part,
-                      tileTally, unit);
-        if (repeats) {
-            // The other members present the same digit vector to the
-            // same noise-free array, so their reads would repeat this
-            // one exactly: charge each the same counter deltas,
-            // including the array's own read cycles.
-            const auto rep = [repeats](std::uint64_t now,
-                                       std::uint64_t before) {
-                return (now - before) * repeats;
-            };
-            const std::uint64_t reads = rep(part.stats.crossbarReads,
-                                            statsBefore.crossbarReads);
-            part.stats.crossbarReads += reads;
-            part.stats.adcSamples +=
-                rep(part.stats.adcSamples, statsBefore.adcSamples);
-            tileTally.samples +=
-                rep(tileTally.samples, tallyBefore.samples);
-            tileTally.clips += rep(tileTally.clips, tallyBefore.clips);
-            tileTally.bitCycles +=
-                rep(tileTally.bitCycles, tallyBefore.bitCycles);
-            auto &tr = part.transient;
-            tr.abftChecks += rep(tr.abftChecks, trBefore.abftChecks);
-            tr.abftMismatches +=
-                rep(tr.abftMismatches, trBefore.abftMismatches);
-            tr.abftRetries += rep(tr.abftRetries, trBefore.abftRetries);
-            tr.abftRetryCycles +=
-                rep(tr.abftRetryCycles, trBefore.abftRetryCycles);
-            tr.abftUncorrected +=
-                rep(tr.abftUncorrected, trBefore.abftUncorrected);
-            t.array->chargeReadCycles(reads);
-        }
-
-        for (int i = 0; i < g.count; ++i) {
-            mergeTilePhase(t, cs, g.phases[static_cast<std::size_t>(i)],
-                           unit, part,
-                           twosComp ? std::span<Acc>(part.result)
-                                    : std::span<Acc>(part.rawSum),
-                           part.unitTotal);
-        }
-    }
-}
-
-void
 BitSerialEngine::mergeTilePhase(const ArrayTile &t, int cs, int p,
                                 Acc unit, Partial &part,
                                 std::span<Acc> acc,
@@ -543,48 +462,17 @@ BitSerialEngine::evalTileAttempts(const ArrayTile &t, int dataCols,
     }
 }
 
-void
-BitSerialEngine::evalTilePhase(const ArrayTile &t, int dataCols,
-                               bool checking,
-                               std::span<const std::uint64_t> planes,
-                               int p, std::uint64_t opSeq,
-                               Partial &part, AdcTally &tileTally,
-                               Acc &unit) const
-{
-    if (!planes.empty()) {
-        // The packed read yields the noise-free sums; the attempt's
-        // draws land on exactly the columns the ladder samples, which
-        // is all a scalar read's draws are observed through.
-        const bool noisy = cfg.noise.readNoiseEnabled();
-        evalTileAttempts(
-            t, dataCols, checking, part, tileTally, unit,
-            [&](int attempt) -> const std::vector<Acc> & {
-                t.array->readAllBitlinesPacked(planes, cfg.dacBits,
-                                               part.currents);
-                if (noisy) {
-                    addReadNoise(t, dataCols, checking,
-                                 readSeq(opSeq, p, attempt),
-                                 part.currents);
-                }
-                return part.currents;
-            });
-    } else {
-        evalTileAttempts(
-            t, dataCols, checking, part, tileTally, unit,
-            [&](int attempt) -> const std::vector<Acc> & {
-                t.array->readAllBitlinesInto(
-                    part.digits, readSeq(opSeq, p, attempt), opSeq,
-                    part.currents);
-                return part.currents;
-            });
-    }
-}
-
 std::vector<Acc>
 BitSerialEngine::dotProduct(std::span<const Word> inputs) const
 {
     if (inputs.size() != static_cast<std::size_t>(_numInputs))
         fatal("BitSerialEngine::dotProduct: wrong input length");
+    // The packed tier runs the window as a one-window GEMM block. The
+    // scalar tier calls dotProductAt() directly: under
+    // dotProductBatch()'s per-window parallelFor its phase tasks
+    // would nest, and so run inline.
+    if (fastPathActive())
+        return dotProductBatch(inputs, 1);
     return dotProductAt(
         inputs, _opSeq.fetch_add(1, std::memory_order_relaxed));
 }
@@ -596,99 +484,86 @@ BitSerialEngine::dotProductAt(std::span<const Word> inputs,
     const int phases = cfg.phases();
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
 
-    // Stage the digit planes once per row segment (fast path) and
-    // group phases: on a clean packed engine every phase whose digit
-    // vector equals an earlier one's shares that phase's tile
-    // readings, which is common — sign-extended small activations
-    // repeat their high phases, and ReLU'd ones present all-zero
-    // vectors there. Read noise draws per (op, phase), so noisy reads
-    // never share, and the scalar path keeps one group per phase.
-    const bool fast = fastPathActive();
-    const bool share = fast && !cfg.noise.readNoiseEnabled();
-    const auto phaseWords =
-        static_cast<std::size_t>(cfg.dacBits) * ((cfg.rows + 63) / 64);
-    std::vector<std::vector<std::uint64_t>> planes(
-        static_cast<std::size_t>(fast ? _rowSegments : 0));
-    std::vector<PhaseGroup> groups;
-    groups.reserve(static_cast<std::size_t>(phases) * _rowSegments);
-    for (int rs = 0; rs < _rowSegments; ++rs) {
-        const std::size_t firstGroup = groups.size();
-        const std::uint64_t *dig = nullptr;
-        if (fast) {
-            auto &mine = planes[static_cast<std::size_t>(rs)];
-            packBitPlanesBatch(inputs, 0, 1, rs, tile(rs, 0).usedRows,
-                               mine);
-            dig = mine.data();
-        }
-        const auto slice = [&](int p) {
-            return dig + static_cast<std::size_t>(p) * phaseWords;
-        };
-        for (int p = 0; p < phases; ++p) {
-            auto g = std::find_if(
-                groups.begin() + static_cast<std::ptrdiff_t>(firstGroup),
-                groups.end(), [&](const PhaseGroup &h) {
-                    return share &&
-                        std::equal(slice(p), slice(p) + phaseWords,
-                                   slice(h.phases[0]));
-                });
-            if (g == groups.end())
-                g = groups.insert(groups.end(), PhaseGroup{rs});
-            g->phases[static_cast<std::size_t>(g->count++)] = p;
-        }
-    }
-
-    // One task per phase group; partial sums, stats, and ADC tallies
-    // land in per-worker accumulators. 64-bit integer addition is
-    // associative, so any partitioning merges to the exact serial
-    // result.
-    const auto tasks = static_cast<std::int64_t>(groups.size());
+    // One task per (row segment, phase); partial sums, stats, and ADC
+    // tallies land in per-worker accumulators. 64-bit integer
+    // addition is associative, so any partitioning merges to the
+    // exact serial result.
+    const auto tasks = static_cast<std::int64_t>(_rowSegments) * phases;
     const int workers = parallelWorkers(cfg.threads, tasks);
     std::vector<Partial> parts(static_cast<std::size_t>(workers));
     for (auto &part : parts) {
         part.result.assign(static_cast<std::size_t>(_numOutputs), 0);
-        if (!twosComp)
-            part.rawSum.assign(static_cast<std::size_t>(_numOutputs),
-                               0);
         part.tileAdc.assign(tiles.size(), AdcTally{});
     }
 
     parallelFor(tasks, cfg.threads, [&](std::int64_t task, int w) {
-        const auto &g = groups[static_cast<std::size_t>(task)];
-        std::span<const std::uint64_t> gPlanes;
-        if (fast) {
-            gPlanes = std::span(planes[static_cast<std::size_t>(g.rs)])
-                          .subspan(static_cast<std::size_t>(g.phases[0]) *
-                                       phaseWords,
-                                   phaseWords);
+        auto &part = parts[static_cast<std::size_t>(w)];
+        const int rs = static_cast<int>(task / phases);
+        const int p = static_cast<int>(task % phases);
+        const int used = tile(rs, 0).usedRows;
+        auto &digits = part.digits;
+        digits.assign(static_cast<std::size_t>(used), 0);
+        for (int r = 0; r < used; ++r) {
+            const Word x =
+                inputs[static_cast<std::size_t>(rs * cfg.rows + r)];
+            if (twosComp) {
+                digits[static_cast<std::size_t>(r)] = bitOf(x, p);
+            } else {
+                const std::uint16_t y = static_cast<std::uint16_t>(
+                    static_cast<Acc>(x) + kWeightBias);
+                digits[static_cast<std::size_t>(r)] =
+                    digitOf(static_cast<Word>(y), p * cfg.dacBits,
+                            cfg.dacBits);
+            }
         }
-        runPhaseGroup(inputs, g, gPlanes, opSeq,
-                      parts[static_cast<std::size_t>(w)]);
+        part.stats.dacActivations += static_cast<std::uint64_t>(used);
+
+        for (int cs = 0; cs < _colSegments; ++cs) {
+            const auto &t = tile(rs, cs);
+            const int dataCols = t.localOutputs * cfg.slicesPerWeight();
+            auto &tileTally = part.tileAdc[static_cast<std::size_t>(
+                rs * _colSegments + cs)];
+            Acc unit = 0;
+            evalTileAttempts(
+                t, dataCols, cfg.abftChecksum && t.abftOk, part,
+                tileTally, unit,
+                [&](int attempt) -> const std::vector<Acc> & {
+                    t.array->readAllBitlinesInto(
+                        digits, readSeq(opSeq, p, attempt), opSeq,
+                        part.currents);
+                    return part.currents;
+                });
+            mergeTilePhase(t, cs, p, unit, part, part.result,
+                           part.unitTotal);
+        }
     });
 
-    // Merge the per-worker partials (slot order; the sums are
-    // order-insensitive anyway).
-    std::vector<Acc> result(std::move(parts[0].result));
-    std::vector<Acc> rawSum(std::move(parts[0].rawSum));
+    std::vector<Acc> out(std::move(parts[0].result));
     Acc unitTotal = parts[0].unitTotal;
-    EngineStats delta = parts[0].stats;
-    resilience::TransientStats transientDelta = parts[0].transient;
-    std::vector<AdcTally> tileTally(std::move(parts[0].tileAdc));
     for (std::size_t w = 1; w < parts.size(); ++w) {
-        const auto &part = parts[w];
-        transientDelta.merge(part.transient);
         for (int k = 0; k < _numOutputs; ++k)
-            result[static_cast<std::size_t>(k)] +=
-                part.result[static_cast<std::size_t>(k)];
-        if (!twosComp) {
-            for (int k = 0; k < _numOutputs; ++k)
-                rawSum[static_cast<std::size_t>(k)] +=
-                    part.rawSum[static_cast<std::size_t>(k)];
-        }
-        unitTotal += part.unitTotal;
-        delta.crossbarReads += part.stats.crossbarReads;
-        delta.adcSamples += part.stats.adcSamples;
-        delta.shiftAdds += part.stats.shiftAdds;
-        delta.dacActivations += part.stats.dacActivations;
+            out[static_cast<std::size_t>(k)] +=
+                parts[w].result[static_cast<std::size_t>(k)];
+        unitTotal += parts[w].unitTotal;
+    }
+    retire(parts, out, std::span<const Acc>(&unitTotal, 1), opSeq);
+    return out;
+}
+
+void
+BitSerialEngine::retire(std::span<const Partial> parts,
+                        std::span<Acc> out,
+                        std::span<const Acc> unitTotals,
+                        std::uint64_t opSeq0) const
+{
+    const std::size_t count =
+        out.size() / static_cast<std::size_t>(_numOutputs);
+    EngineStats delta;
+    resilience::TransientStats transientDelta;
+    std::vector<AdcTally> tileTally(tiles.size());
+    for (const auto &part : parts) {
+        delta.merge(part.stats);
+        transientDelta.merge(part.transient);
         for (std::size_t i = 0; i < tileTally.size(); ++i)
             tileTally[i].merge(part.tileAdc[i]);
     }
@@ -696,24 +571,27 @@ BitSerialEngine::dotProductAt(std::span<const Word> inputs,
     for (const auto &t : tileTally)
         tally.merge(t);
 
-    if (!twosComp) {
+    if (cfg.inputMode == InputMode::Biased) {
         // sum(x*w) = sum(y*u) - B*sum(y) - B*sum(u) + R*B^2 with
         // y = x + B, u = w + B (Sec. V's bias, applied to both
-        // operands).
-        Acc totalUsedRows = 0;
-        for (int rs = 0; rs < _rowSegments; ++rs)
-            totalUsedRows += tile(rs, 0).usedRows;
+        // operands) and R the dot-product length.
+        std::vector<Acc> sumU(static_cast<std::size_t>(_numOutputs));
         for (int k = 0; k < _numOutputs; ++k) {
-            Acc sumU = 0;
             const int cs = k / cfg.outputsPerArray();
             const int o = k % cfg.outputsPerArray();
             for (int rs = 0; rs < _rowSegments; ++rs)
-                sumU += tile(rs, cs)
-                            .sumBiased[static_cast<std::size_t>(o)];
-            result[static_cast<std::size_t>(k)] =
-                rawSum[static_cast<std::size_t>(k)] -
-                kWeightBias * unitTotal - kWeightBias * sumU +
-                totalUsedRows * kWeightBias * kWeightBias;
+                sumU[static_cast<std::size_t>(k)] +=
+                    tile(rs, cs).sumBiased[static_cast<std::size_t>(o)];
+        }
+        const Acc rowBias =
+            static_cast<Acc>(_numInputs) * kWeightBias * kWeightBias;
+        for (std::size_t i = 0; i < count; ++i) {
+            Acc *row = out.data() + i * static_cast<std::size_t>(
+                                            _numOutputs);
+            for (int k = 0; k < _numOutputs; ++k) {
+                row[k] += rowBias - kWeightBias * unitTotals[i] -
+                    kWeightBias * sumU[static_cast<std::size_t>(k)];
+            }
         }
     }
 
@@ -723,29 +601,32 @@ BitSerialEngine::dotProductAt(std::span<const Word> inputs,
     // cells as exact — see CrossbarArray::effectiveLevel — so the
     // pass is pure accounting: one pulse per programmed cell,
     // charged to the WriteModel by the callers that price energy).
-    // Keyed by opSeq, so any call interleaving charges identically.
-    if (cfg.noise.driftEnabled() && cfg.noise.refreshIntervalOps &&
-        (opSeq + 1) % cfg.noise.refreshIntervalOps == 0) {
-        for (const auto &t : tiles) {
-            ++transientDelta.driftRefreshes;
-            transientDelta.refreshPulses += static_cast<std::uint64_t>(
-                t.array->programmedCells());
+    // Keyed by op number, so any call interleaving charges
+    // identically.
+    if (cfg.noise.driftEnabled() && cfg.noise.refreshIntervalOps) {
+        for (std::uint64_t op = opSeq0; op < opSeq0 + count; ++op) {
+            if ((op + 1) % cfg.noise.refreshIntervalOps != 0)
+                continue;
+            for (const auto &t : tiles) {
+                ++transientDelta.driftRefreshes;
+                transientDelta.refreshPulses +=
+                    static_cast<std::uint64_t>(
+                        t.array->programmedCells());
+            }
         }
     }
 
     adc.addTally(tally);
-    publishDelta(1, delta, tally, transientDelta, tileTally);
-    return result;
+    publishDelta(count, delta, tally, transientDelta, tileTally);
 }
 
 void
-BitSerialEngine::packBitPlanesBatch(
-    std::span<const Word> inputs, int first, int n, int rs, int used,
-    std::vector<std::uint64_t> &dig) const
+BitSerialEngine::packBitPlanesBatch(std::span<const Word> inputs,
+                                    int first, int n, int rs, int used,
+                                    std::uint64_t *dig) const
 {
     const int words = (cfg.rows + 63) / 64;
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
-    dig.assign(static_cast<std::size_t>(kDataBits) * words * n, 0);
     // Distance between bit-plane b and b + 1 in the matrix.
     const std::size_t planeStride =
         static_cast<std::size_t>(words) * n;
@@ -764,8 +645,8 @@ BitSerialEngine::packBitPlanesBatch(
             if (!y)
                 continue;
             const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-            std::uint64_t *base = dig.data() +
-                static_cast<std::size_t>(r >> 6) * n + i;
+            std::uint64_t *base =
+                dig + static_cast<std::size_t>(r >> 6) * n + i;
             // Scatter the set bits (ctz walk: no per-plane branch
             // mispredictions, and sign-extended small activations
             // skip their all-zero planes for free).
@@ -780,370 +661,339 @@ BitSerialEngine::packBitPlanesBatch(
 }
 
 void
-BitSerialEngine::runBatchBlock(std::span<const Word> inputs,
-                               int first, int n,
+BitSerialEngine::runBlockTiles(const std::uint64_t *planes,
+                               const int *leader, int first, int n,
+                               int cs, int unitBegin, int unitEnd,
                                std::uint64_t firstOp,
-                               std::span<Acc> out, Acc *unitTotals,
+                               std::span<Acc> out,
+                               std::span<Acc> unitTotals,
                                Partial &part) const
+{
+    const int phases = cfg.phases();
+    const auto words = static_cast<std::size_t>((cfg.rows + 63) / 64);
+    const std::size_t segmentWords =
+        static_cast<std::size_t>(kDataBits) * words * n;
+    const std::size_t phaseWords =
+        static_cast<std::size_t>(cfg.dacBits) * words * n;
+    const int localOutputs = tile(0, cs).localOutputs;
+    // Column-major accumulator (batchAcc[o * n + i]): the vectorized
+    // digital pass adds into contiguous window runs and one transpose
+    // at the end lands the block in `out`. ABFT tiles merge straight
+    // into `out` instead; mixing is fine because both only ever add.
+    auto &batchAcc = part.batchAcc;
+    batchAcc.assign(static_cast<std::size_t>(localOutputs) * n, 0);
+    for (int u = unitBegin; u < unitEnd; ++u) {
+        const int rs = u / phases;
+        const int p = u % phases;
+        const auto &t = tile(rs, cs);
+        // The DAC streams every phase of every window whether or not
+        // its reading is shared; row-side activity is charged by
+        // column segment 0.
+        if (cs == 0)
+            part.stats.dacActivations +=
+                static_cast<std::uint64_t>(t.usedRows) * n;
+        const int *lead = leader + static_cast<std::size_t>(rs) * phases;
+        if (lead[p] != p)
+            continue;
+        t.array->readAllBitlinesPackedBatch(
+            std::span<const std::uint64_t>(
+                planes + static_cast<std::size_t>(rs) * segmentWords +
+                    static_cast<std::size_t>(p) * phaseWords,
+                phaseWords),
+            cfg.dacBits, n, part.curMat);
+        // Every member phase runs its own pass on the shared reading:
+        // its counters, ladder and merge are exactly what its own
+        // (identical) read would have produced.
+        for (int q = p; q < phases; ++q) {
+            if (lead[q] == p) {
+                mergeBlockPhase(t, cs, q, first, n, firstOp, out,
+                                unitTotals, part);
+            }
+        }
+    }
+    const std::size_t base =
+        static_cast<std::size_t>(cs) * cfg.outputsPerArray();
+    for (int i = 0; i < n; ++i) {
+        Acc *row = out.data() +
+            static_cast<std::size_t>(first + i) * _numOutputs + base;
+        for (int o = 0; o < localOutputs; ++o)
+            row[o] += batchAcc[static_cast<std::size_t>(o) * n + i];
+    }
+}
+
+void
+BitSerialEngine::mergeBlockPhase(const ArrayTile &t, int cs, int p,
+                                 int first, int n,
+                                 std::uint64_t firstOp,
+                                 std::span<Acc> out,
+                                 std::span<Acc> unitTotals,
+                                 Partial &part) const
 {
     const int slices = cfg.slicesPerWeight();
     const int phases = cfg.phases();
-    const int words = (cfg.rows + 63) / 64;
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
     const bool noisy = cfg.noise.readNoiseEnabled();
-    std::vector<std::uint64_t> dig;
-    std::vector<Acc> curMat;
-    Acc dummyUnitTotal = 0;
-    // Column-major output accumulator (batchAcc[k * n + i]): the
-    // vectorized digital pass adds into contiguous window runs and
-    // one transpose at the end lands the block in `out`. ABFT tiles
-    // merge straight into `out` instead; mixing is fine because both
-    // only ever add.
-    auto &batchAcc = part.batchAcc;
-    batchAcc.assign(static_cast<std::size_t>(_numOutputs) * n, 0);
-    auto &units = part.unitsBatch;
-    auto &merged = part.mergedBatch;
+    const int dataCols = t.localOutputs * slices;
+    const int physCols = t.array->cols();
+    auto &tileTally = part.tileAdc[static_cast<std::size_t>(
+        (&t - tiles.data()))];
+    auto &curMat = part.curMat;
+    const bool rowSide = !twosComp && cs == 0;
+
+    if (cfg.abftChecksum && t.abftOk) {
+        // ABFT tiles keep the shared per-window attempt ladder
+        // (retries and their counters must match a sequential run
+        // exactly).
+        Acc unused = 0;
+        for (int i = 0; i < n; ++i) {
+            Acc unit = 0;
+            evalTileAttempts(
+                t, dataCols, true, part, tileTally, unit,
+                [&](int attempt) -> const std::vector<Acc> & {
+                    // The currents are the window's GEMM column,
+                    // gathered once when clean (attempts then repeat
+                    // it) and per attempt under read noise, which
+                    // draws afresh for every attempt. Every attempt
+                    // charges its read cycle so readCycles() matches
+                    // a scalar run under ABFT retries.
+                    if (attempt == 0 || noisy) {
+                        part.currents.resize(
+                            static_cast<std::size_t>(physCols));
+                        for (int c = 0; c < physCols; ++c)
+                            part.currents[static_cast<std::size_t>(c)] =
+                                curMat[static_cast<std::size_t>(c) * n +
+                                       i];
+                    }
+                    if (noisy) {
+                        addReadNoise(
+                            t, dataCols, true,
+                            readSeq(firstOp +
+                                        static_cast<std::uint64_t>(i),
+                                    p, attempt),
+                            part.currents);
+                    }
+                    t.array->chargeReadCycles(1);
+                    return part.currents;
+                });
+            mergeTilePhase(
+                t, cs, p, unit, part,
+                out.subspan(static_cast<std::size_t>(first + i) *
+                                _numOutputs,
+                            static_cast<std::size_t>(_numOutputs)),
+                rowSide ? unitTotals[static_cast<std::size_t>(first + i)]
+                        : unused);
+        }
+        return;
+    }
+
+    // Unchecked tiles: one vectorized column-major digital pass over
+    // the GEMM matrix, bit-identical to n trips through
+    // evalTileAttempts (single attempt) + mergeTilePhase. The window
+    // index is the contiguous dimension, so every inner loop below is
+    // a straight-line sweep the compiler vectorizes. Short rows run
+    // the portable body inline: below one vector of windows the tier
+    // dispatch has nothing to win.
+    const bool inlineRows = n < kInlineMergeRows;
+    const auto scaleAdd = [&](Acc *acc, const Acc *row, int shift,
+                              bool negate) {
+        if (inlineRows)
+            kernel::detail::scaleAddImpl(acc, row, shift, negate, n);
+        else
+            kernel::scaleAdd(acc, row, shift, negate, n);
+    };
+    const auto scaleAddFlipped = [&](Acc *acc, const Acc *row,
+                                     const Acc *units, int shift,
+                                     bool negate) {
+        if (inlineRows) {
+            kernel::detail::scaleAddFlippedImpl(
+                acc, row, units, cfg.cellBits, shift, negate, n);
+        } else {
+            kernel::scaleAddFlipped(acc, row, units, cfg.cellBits,
+                                    shift, negate, n);
+        }
+    };
     const Acc maxCode = adc.maxCode();
     const int cap = adc.bits();
     const bool adaptive = cfg.adcPolicy.isAdaptive();
     const Acc maxLevel = (Acc{1} << cfg.cellBits) - 1;
-    // Clamped-ladder scratch: per-window data-column code ceilings
-    // (all maxCode under a fixed policy; derived from the quantized
-    // unit under an adaptive one, mirroring evalTileAttempts).
-    std::vector<Acc> dataCeil;
-    // Clip feasibility, decided once per tile per block: when even
-    // the all-ones digit pattern cannot push any column past the ADC
-    // ceiling — the common case; the flip encoding exists to
-    // guarantee it for clean weights — quantize() is the identity on
-    // every reading of the tile and the digital pass can skip
-    // clamping entirely. Stuck-at-high cells can break the bound
-    // (maxPackedReading reads the *stored* levels, so they are
-    // counted), in which case the tile takes the clamped ladder. So
-    // does every tile under read noise: a draw can lift any reading
-    // past the bound.
-    std::vector<char> mayClip(tiles.size(), 1);
-    for (std::size_t ti = 0; ti < tiles.size() && !noisy; ++ti) {
-        mayClip[ti] =
-            tiles[ti].array->maxPackedReading(cfg.dacBits) > maxCode;
+    const int unitRes = adaptive
+        ? cfg.adcPolicy.resolutionFor(
+              static_cast<Acc>(t.usedRows) *
+                  ((Acc{1} << cfg.dacBits) - 1),
+              cap)
+        : cap;
+    auto &batchAcc = part.batchAcc;
+
+    // Counters are commutative sums, charged in bulk.
+    part.stats.crossbarReads += static_cast<std::uint64_t>(n);
+    part.stats.adcSamples +=
+        static_cast<std::uint64_t>(dataCols + 1) * n;
+    tileTally.samples += static_cast<std::uint64_t>(dataCols + 1) * n;
+    if (!adaptive) {
+        // Fixed policy: every conversion runs the full SAR ladder, so
+        // the cycle count is a closed form. Adaptive tiles charge per
+        // window below (the resolution depends on each unit reading).
+        tileTally.bitCycles += static_cast<std::uint64_t>(dataCols + 1) *
+            n * static_cast<std::uint64_t>(cap);
     }
-    const std::size_t phaseStride =
-        static_cast<std::size_t>(cfg.dacBits) * words * n;
-    for (int rs = 0; rs < _rowSegments; ++rs) {
-        const int used = tile(rs, 0).usedRows;
-        // One pass over the block's inputs packs every phase's
-        // planes (phase p consumes the slice at bit p * dacBits);
-        // the DAC still streams every phase, so its activations are
-        // charged for all of them here.
-        packBitPlanesBatch(inputs, first, n, rs, used, dig);
-        part.stats.dacActivations +=
-            static_cast<std::uint64_t>(used) * n * phases;
-        for (int p = 0; p < phases; ++p) {
-            const std::span<const std::uint64_t> digP(
-                dig.data() + static_cast<std::size_t>(p) * phaseStride,
-                phaseStride);
-            for (int cs = 0; cs < _colSegments; ++cs) {
-                const auto &t = tile(rs, cs);
-                const int dataCols = t.localOutputs * slices;
-                const int physCols = t.array->cols();
-                const std::size_t ti =
-                    static_cast<std::size_t>(rs * _colSegments + cs);
-                auto &tileTally = part.tileAdc[ti];
-                const bool checking = cfg.abftChecksum && t.abftOk;
-                t.array->readAllBitlinesPackedBatch(digP, cfg.dacBits,
-                                                    n, curMat);
-                if (checking) {
-                    // ABFT tiles keep the shared per-window attempt
-                    // ladder (retries and their counters must match
-                    // a sequential run exactly).
-                    for (int i = 0; i < n; ++i) {
-                        Acc unit = 0;
-                        evalTileAttempts(
-                            t, dataCols, checking, part, tileTally,
-                            unit,
-                            [&](int attempt)
-                                -> const std::vector<Acc> & {
-                                // The currents are the window's GEMM
-                                // column, gathered once when clean
-                                // (attempts then repeat it) and per
-                                // attempt under read noise, which
-                                // draws afresh for every attempt.
-                                // Every attempt charges its read
-                                // cycle so readCycles() matches a
-                                // per-window run under ABFT retries.
-                                if (attempt == 0 || noisy) {
-                                    part.currents.resize(
-                                        static_cast<std::size_t>(
-                                            physCols));
-                                    for (int c = 0; c < physCols; ++c)
-                                        part.currents[static_cast<
-                                            std::size_t>(c)] =
-                                            curMat[static_cast<
-                                                       std::size_t>(
-                                                       c) *
-                                                       n +
-                                                   i];
-                                }
-                                if (noisy) {
-                                    addReadNoise(
-                                        t, dataCols, checking,
-                                        readSeq(firstOp + static_cast<
-                                                    std::uint64_t>(i),
-                                                p, attempt),
-                                        part.currents);
-                                }
-                                t.array->chargeReadCycles(1);
-                                return part.currents;
-                            });
-                        const std::size_t base =
-                            static_cast<std::size_t>(first + i) *
-                            _numOutputs;
-                        mergeTilePhase(
-                            t, cs, p, unit, part,
-                            out.subspan(base,
-                                        static_cast<std::size_t>(
-                                            _numOutputs)),
-                            unitTotals ? unitTotals[first + i]
-                                       : dummyUnitTotal);
-                    }
-                    continue;
-                }
-                // Unchecked tiles: one vectorized column-major
-                // digital pass over the GEMM matrix, bit-identical
-                // to n trips through evalTileAttempts (single
-                // attempt) + mergeTilePhase. The window index is the
-                // contiguous dimension, so every inner loop below is
-                // a straight-line sweep the compiler vectorizes.
-                // Counters are commutative sums, charged in bulk:
-                part.stats.crossbarReads +=
-                    static_cast<std::uint64_t>(n);
-                part.stats.adcSamples +=
-                    static_cast<std::uint64_t>(dataCols + 1) * n;
-                tileTally.samples +=
-                    static_cast<std::uint64_t>(dataCols + 1) * n;
-                if (!adaptive) {
-                    // Fixed policy: every conversion runs the full
-                    // SAR ladder, so the cycle count is a closed
-                    // form. Adaptive tiles charge per window below
-                    // (the resolution depends on each unit reading).
-                    tileTally.bitCycles +=
-                        static_cast<std::uint64_t>(dataCols + 1) * n *
-                        static_cast<std::uint64_t>(cap);
-                }
-                t.array->chargeReadCycles(n);
-                part.stats.shiftAdds +=
-                    static_cast<std::uint64_t>(n) * t.localOutputs *
-                    (slices + 1);
-                if (noisy) {
-                    // The single attempt's draws, in place: column
-                    // rows of the GEMM matrix are contiguous, and
-                    // window i's draw is keyed by its own op number.
-                    forEachSampledColumn(
-                        t, dataCols, false, [&](int c) {
-                            Acc *row = curMat.data() +
-                                static_cast<std::size_t>(c) * n;
-                            for (int i = 0; i < n; ++i) {
-                                row[i] = t.array->applyReadNoise(
-                                    row[i],
-                                    readSeq(firstOp +
-                                                static_cast<
-                                                    std::uint64_t>(i),
-                                            p, 0),
-                                    c);
-                            }
-                        });
-                }
-                const Acc *unitRow = curMat.data() +
-                    static_cast<std::size_t>(t.colMap[static_cast<
-                        std::size_t>(dataCols)]) * n;
-                if (!mayClip[ti]) {
-                    if (adaptive) {
-                        // The adaptive ceilings cover every clean
-                        // reading whenever the fixed ones do (the
-                        // unit-certified bound dominates the data
-                        // readings, and the capped case falls back
-                        // to maxCode — see evalTileAttempts), so the
-                        // merge below stays bit-identical; only the
-                        // realized comparator cycles differ.
-                        const int unitRes = cfg.adcPolicy.resolutionFor(
-                            static_cast<Acc>(t.usedRows) *
-                                ((Acc{1} << cfg.dacBits) - 1),
-                            cap);
-                        std::uint64_t cycles = 0;
-                        for (int i = 0; i < n; ++i) {
-                            cycles += static_cast<std::uint64_t>(
-                                unitRes +
-                                dataCols *
-                                    cfg.adcPolicy.resolutionFor(
-                                        unitRow[i] * maxLevel, cap));
-                        }
-                        tileTally.bitCycles += cycles;
-                    }
-                    // Clip-free merge: quantize() is the identity on
-                    // every reading of this tile (per the bound
-                    // above), so the slices fold straight into the
-                    // column-major accumulator as power-of-two
-                    // shift/add rows through the kernel's vector
-                    // tiers, and the unit column needs no clamped
-                    // copy.
-                    static_assert(kWeightBias == Acc{1} << 15,
-                                  "bias-removal shift assumes the "
-                                  "2^15 weight bias");
-                    const int phShift =
-                        twosComp ? p : p * cfg.dacBits;
-                    const bool neg = twosComp && p == phases - 1;
-                    for (int o = 0; o < t.localOutputs; ++o) {
-                        Acc *accRow = batchAcc.data() +
-                            static_cast<std::size_t>(
-                                cs * cfg.outputsPerArray() + o) *
-                                n;
-                        for (int s = 0; s < slices; ++s) {
-                            const int c = o * slices + s;
-                            const Acc *row = curMat.data() +
-                                static_cast<std::size_t>(
-                                    t.colMap[static_cast<
-                                        std::size_t>(c)]) *
-                                    n;
-                            const int shift =
-                                s * cfg.cellBits + phShift;
-                            if (t.flipped[static_cast<std::size_t>(
-                                    c)]) {
-                                kernel::scaleAddFlipped(
-                                    accRow, row, unitRow,
-                                    cfg.cellBits, shift, neg, n);
-                            } else {
-                                kernel::scaleAdd(accRow, row, shift,
-                                                 neg, n);
-                            }
-                        }
-                        if (twosComp) {
-                            // Remove the per-phase weight bias:
-                            // -sign * (unit << 15) << p.
-                            kernel::scaleAdd(accRow, unitRow, 15 + p,
-                                             !neg, n);
-                        }
-                    }
-                    if (!twosComp && cs == 0 && unitTotals) {
-                        kernel::scaleAdd(unitTotals + first, unitRow,
-                                         p * cfg.dacBits, false, n);
-                    }
-                    continue;
-                }
-                // Clamped fallback (a stuck-at-high column or a noise
-                // draw can push readings past the ADC ceiling): the
-                // scalar ladder, clip counting included.
-                std::uint64_t clips = 0;
-                // Unit column first (quantize clamp order matches the
-                // scalar ladder; a packed read can never go negative
-                // and read noise clamps at 0, so quantize()'s one
-                // panic case never arises). Under an adaptive policy
-                // the unit converts at the tile's static-bound
-                // resolution and each window's data columns clamp at
-                // the ceiling its quantized unit certifies, exactly
-                // as evalTileAttempts does.
-                const int unitRes = adaptive
-                    ? cfg.adcPolicy.resolutionFor(
-                          static_cast<Acc>(t.usedRows) *
-                              ((Acc{1} << cfg.dacBits) - 1),
-                          cap)
-                    : cap;
-                const Acc unitCeil = (Acc{1} << unitRes) - 1;
-                units.resize(static_cast<std::size_t>(n));
-                dataCeil.assign(static_cast<std::size_t>(n), maxCode);
-                std::uint64_t cycles = 0;
-                for (int i = 0; i < n; ++i) {
-                    const Acc u = unitRow[i];
-                    clips += static_cast<std::uint64_t>(u > unitCeil);
-                    const Acc uq = u > unitCeil ? unitCeil : u;
-                    units[static_cast<std::size_t>(i)] = uq;
-                    if (adaptive) {
-                        const int res = cfg.adcPolicy.resolutionFor(
-                            uq * maxLevel, cap);
-                        dataCeil[static_cast<std::size_t>(i)] =
-                            (Acc{1} << res) - 1;
-                        cycles += static_cast<std::uint64_t>(
-                            unitRes + dataCols * res);
-                    }
-                }
-                if (adaptive)
-                    tileTally.bitCycles += cycles;
-                merged.resize(static_cast<std::size_t>(n));
-                const Acc full = (Acc{1} << cfg.cellBits) - 1;
-                for (int o = 0; o < t.localOutputs; ++o) {
-                    std::fill(merged.begin(), merged.end(), Acc{0});
-                    for (int s = 0; s < slices; ++s) {
-                        const int c = o * slices + s;
-                        const Acc *row = curMat.data() +
-                            static_cast<std::size_t>(
-                                t.colMap[static_cast<std::size_t>(
-                                    c)]) * n;
-                        const Acc w = Acc{1} << (s * cfg.cellBits);
-                        if (t.flipped[static_cast<std::size_t>(c)]) {
-                            for (int i = 0; i < n; ++i) {
-                                const Acc lim = dataCeil[
-                                    static_cast<std::size_t>(i)];
-                                Acc v = row[i];
-                                clips += static_cast<std::uint64_t>(
-                                    v > lim);
-                                v = v > lim ? lim : v;
-                                v = full *
-                                        units[static_cast<
-                                            std::size_t>(i)] -
-                                    v;
-                                merged[static_cast<std::size_t>(i)] +=
-                                    v * w;
-                            }
-                        } else {
-                            for (int i = 0; i < n; ++i) {
-                                const Acc lim = dataCeil[
-                                    static_cast<std::size_t>(i)];
-                                Acc v = row[i];
-                                clips += static_cast<std::uint64_t>(
-                                    v > lim);
-                                v = v > lim ? lim : v;
-                                merged[static_cast<std::size_t>(i)] +=
-                                    v * w;
-                            }
-                        }
-                    }
-                    const std::size_t k = static_cast<std::size_t>(
-                        cs * cfg.outputsPerArray() + o);
-                    Acc *accRow = batchAcc.data() + k * n;
-                    if (twosComp) {
-                        const Acc ph = Acc{1} << p;
-                        const Acc sign = p == phases - 1 ? -1 : 1;
-                        for (int i = 0; i < n; ++i) {
-                            accRow[i] += sign *
-                                (merged[static_cast<std::size_t>(i)] -
-                                 kWeightBias *
-                                     units[static_cast<std::size_t>(
-                                         i)]) *
-                                ph;
-                        }
-                    } else {
-                        const Acc ph = Acc{1} << (p * cfg.dacBits);
-                        for (int i = 0; i < n; ++i)
-                            accRow[i] +=
-                                merged[static_cast<std::size_t>(i)] *
-                                ph;
-                    }
-                }
-                tileTally.clips += clips;
-                if (!twosComp && cs == 0 && unitTotals) {
-                    const Acc ph = Acc{1} << (p * cfg.dacBits);
-                    for (int i = 0; i < n; ++i)
-                        unitTotals[first + i] +=
-                            units[static_cast<std::size_t>(i)] * ph;
-                }
+    t.array->chargeReadCycles(static_cast<std::uint64_t>(n));
+    part.stats.shiftAdds += static_cast<std::uint64_t>(n) *
+        t.localOutputs * (slices + 1);
+    if (noisy) {
+        // The single attempt's draws, in place (noisy phases never
+        // share a reading): column rows of the GEMM matrix are
+        // contiguous, and window i's draw is keyed by its own op
+        // number.
+        forEachSampledColumn(t, dataCols, false, [&](int c) {
+            Acc *row = curMat.data() + static_cast<std::size_t>(c) * n;
+            for (int i = 0; i < n; ++i) {
+                row[i] = t.array->applyReadNoise(
+                    row[i],
+                    readSeq(firstOp + static_cast<std::uint64_t>(i), p,
+                            0),
+                    c);
+            }
+        });
+    }
+    const Acc *unitRow = curMat.data() +
+        static_cast<std::size_t>(
+            t.colMap[static_cast<std::size_t>(dataCols)]) * n;
+    const auto columnRow = [&](int c) {
+        return curMat.data() +
+            static_cast<std::size_t>(
+                t.colMap[static_cast<std::size_t>(c)]) * n;
+    };
+
+    // Clip feasibility: when even the all-ones digit pattern cannot
+    // push any column past the ADC ceiling — the common case; the
+    // flip encoding exists to guarantee it for clean weights —
+    // quantize() is the identity on every reading of the tile and the
+    // digital pass can skip clamping entirely. Stuck-at-high cells
+    // can break the bound (maxPackedReading covers the *stored*
+    // levels, so they are counted), in which case the tile takes the
+    // clamped ladder. So does every tile under read noise: a draw can
+    // lift any reading past the bound.
+    if (!noisy && t.array->maxPackedReading(cfg.dacBits) <= maxCode) {
+        if (adaptive) {
+            // The adaptive ceilings cover every clean reading whenever
+            // the fixed ones do (the unit-certified bound dominates
+            // the data readings, and the capped case falls back to
+            // maxCode — see evalTileAttempts), so the merge below
+            // stays bit-identical; only the realized comparator
+            // cycles differ.
+            std::uint64_t cycles = 0;
+            for (int i = 0; i < n; ++i) {
+                cycles += static_cast<std::uint64_t>(
+                    unitRes +
+                    dataCols * cfg.adcPolicy.resolutionFor(
+                                   unitRow[i] * maxLevel, cap));
+            }
+            tileTally.bitCycles += cycles;
+        }
+        // Clip-free merge: the slices fold straight into the
+        // column-major accumulator as power-of-two shift/add rows,
+        // and the unit column needs no clamped copy.
+        static_assert(kWeightBias == Acc{1} << 15,
+                      "bias-removal shift assumes the 2^15 weight bias");
+        const int phShift = twosComp ? p : p * cfg.dacBits;
+        const bool neg = twosComp && p == phases - 1;
+        for (int o = 0; o < t.localOutputs; ++o) {
+            Acc *accRow =
+                batchAcc.data() + static_cast<std::size_t>(o) * n;
+            for (int s = 0; s < slices; ++s) {
+                const int c = o * slices + s;
+                const int shift = s * cfg.cellBits + phShift;
+                if (t.flipped[static_cast<std::size_t>(c)])
+                    scaleAddFlipped(accRow, columnRow(c), unitRow, shift,
+                                    neg);
+                else
+                    scaleAdd(accRow, columnRow(c), shift, neg);
+            }
+            if (twosComp) {
+                // Remove the per-phase weight bias:
+                // -sign * (unit << 15) << p.
+                scaleAdd(accRow, unitRow, 15 + p, !neg);
             }
         }
+        if (rowSide) {
+            scaleAdd(unitTotals.data() + first, unitRow, p * cfg.dacBits,
+                     false);
+        }
+        return;
     }
-    // Land the column-major accumulator in the windows' out slices.
+
+    // Clamped fallback (a stuck-at-high column or a noise draw can
+    // push readings past the ADC ceiling): the scalar ladder, clip
+    // counting included. Unit column first (quantize clamp order
+    // matches the scalar ladder; a packed read can never go negative
+    // and read noise clamps at 0, so quantize()'s one panic case never
+    // arises). Under an adaptive policy the unit converts at the
+    // tile's static-bound resolution and each window's data columns
+    // clamp at the ceiling its quantized unit certifies, exactly as
+    // evalTileAttempts does.
+    std::uint64_t clips = 0;
+    const Acc unitCeil = (Acc{1} << unitRes) - 1;
+    auto &units = part.unitsBatch;
+    auto &dataCeil = part.dataCeil;
+    units.resize(static_cast<std::size_t>(n));
+    dataCeil.assign(static_cast<std::size_t>(n), maxCode);
+    std::uint64_t cycles = 0;
     for (int i = 0; i < n; ++i) {
-        Acc *row = out.data() +
-            static_cast<std::size_t>(first + i) * _numOutputs;
-        for (int k = 0; k < _numOutputs; ++k)
-            row[k] +=
-                batchAcc[static_cast<std::size_t>(k) * n + i];
+        const Acc u = unitRow[i];
+        clips += static_cast<std::uint64_t>(u > unitCeil);
+        const Acc uq = u > unitCeil ? unitCeil : u;
+        units[static_cast<std::size_t>(i)] = uq;
+        if (adaptive) {
+            const int res = cfg.adcPolicy.resolutionFor(uq * maxLevel,
+                                                        cap);
+            dataCeil[static_cast<std::size_t>(i)] = (Acc{1} << res) - 1;
+            cycles += static_cast<std::uint64_t>(unitRes +
+                                                 dataCols * res);
+        }
+    }
+    if (adaptive)
+        tileTally.bitCycles += cycles;
+    auto &merged = part.mergedBatch;
+    merged.resize(static_cast<std::size_t>(n));
+    for (int o = 0; o < t.localOutputs; ++o) {
+        std::fill(merged.begin(), merged.end(), Acc{0});
+        for (int s = 0; s < slices; ++s) {
+            const int c = o * slices + s;
+            const Acc *row = columnRow(c);
+            const Acc w = Acc{1} << (s * cfg.cellBits);
+            const bool flipped = t.flipped[static_cast<std::size_t>(c)];
+            for (int i = 0; i < n; ++i) {
+                const Acc lim = dataCeil[static_cast<std::size_t>(i)];
+                Acc v = row[i];
+                clips += static_cast<std::uint64_t>(v > lim);
+                v = v > lim ? lim : v;
+                if (flipped)
+                    v = maxLevel * units[static_cast<std::size_t>(i)] - v;
+                merged[static_cast<std::size_t>(i)] += v * w;
+            }
+        }
+        Acc *accRow = batchAcc.data() + static_cast<std::size_t>(o) * n;
+        if (twosComp) {
+            const Acc ph = Acc{1} << p;
+            const Acc sign = p == phases - 1 ? -1 : 1;
+            for (int i = 0; i < n; ++i) {
+                accRow[i] += sign *
+                    (merged[static_cast<std::size_t>(i)] -
+                     kWeightBias * units[static_cast<std::size_t>(i)]) *
+                    ph;
+            }
+        } else {
+            const Acc ph = Acc{1} << (p * cfg.dacBits);
+            for (int i = 0; i < n; ++i)
+                accRow[i] += merged[static_cast<std::size_t>(i)] * ph;
+        }
+    }
+    tileTally.clips += clips;
+    if (rowSide) {
+        const Acc ph = Acc{1} << (p * cfg.dacBits);
+        for (int i = 0; i < n; ++i)
+            unitTotals[static_cast<std::size_t>(first + i)] +=
+                units[static_cast<std::size_t>(i)] * ph;
     }
 }
 
@@ -1169,7 +1019,7 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
         static_cast<std::uint64_t>(count), std::memory_order_relaxed);
     if (!fastPathActive()) {
         // Drifting / fault-injected / scalar-oracle engines: each
-        // window is one dotProduct() under its claimed op number.
+        // window is one scalar evaluation under its claimed op number.
         parallelFor(count, cfg.threads, [&](std::int64_t i, int) {
             const auto r = dotProductAt(
                 inputs.subspan(static_cast<std::size_t>(i) * _numInputs,
@@ -1183,11 +1033,13 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
     }
 
     const bool twosComp = cfg.inputMode == InputMode::TwosComplement;
+    const int phases = cfg.phases();
+    const int segments = _rowSegments;
+    // Packed words per (window, row segment): 16 planes of the rows.
+    const auto words = static_cast<std::size_t>((cfg.rows + 63) / 64);
+    const std::size_t windowWords = kDataBits * words;
 
-    // One task per contiguous window block. A block owns its windows
-    // end to end — their result slices and unit totals are written
-    // by exactly one worker — so only the commutative counters go
-    // through per-worker Partials. The block size balances SIMD row
+    // Contiguous window blocks. The block size balances SIMD row
     // length against load balance; results and counters are
     // independent of it (and of the thread count).
     const int blockSize = std::clamp(
@@ -1198,75 +1050,109 @@ BitSerialEngine::dotProductBatch(std::span<const Word> inputs,
         8, 256);
     const auto blocks = static_cast<std::int64_t>(
         ceilDiv(count, blockSize));
-    const int workers = parallelWorkers(cfg.threads, blocks);
+    const auto blockFirst = [&](std::int64_t b) {
+        return static_cast<int>(b) * blockSize;
+    };
+    const auto blockSpan = [&](std::int64_t b) {
+        return std::min(blockSize, count - blockFirst(b));
+    };
+
+    // One task per (block, column segment): it owns its windows'
+    // output slices end to end. A call with fewer such tasks than
+    // workers — a one-window call above all — splits each into one
+    // task per (row segment, phase); those sum into per-worker copies
+    // of the results (worker 0 into `out` itself), folded below.
+    // Integer sums make the split invisible.
+    const std::int64_t owners = blocks * _colSegments;
+    const int units = segments * phases;
+    const bool split =
+        owners < parallelWorkers(cfg.threads, owners * units);
+
+    // Stage-in, once per (block, row segment): pack the block's digit
+    // planes (row segment rs of block b at (first * segments + rs * n)
+    // * windowWords) and give each phase a leader — the first phase
+    // whose planes equal its own in every window of the block, whose
+    // reading it then shares. Sign-extended small activations repeat
+    // their high phases, and ReLU'd ones present all-zero vectors
+    // there. Read noise draws per (op, phase), so noisy phases never
+    // share. A split call is small, so it packs serially.
+    const bool share = !cfg.noise.readNoiseEnabled();
+    std::vector<std::uint64_t> planes(
+        static_cast<std::size_t>(count) * segments * windowWords, 0);
+    std::vector<int> leader(static_cast<std::size_t>(blocks) * units);
+    parallelFor(blocks * segments, split ? 1 : cfg.threads,
+                [&](std::int64_t task, int) {
+        const std::int64_t b = task / segments;
+        const int rs = static_cast<int>(task % segments);
+        const int first = blockFirst(b);
+        const int n = blockSpan(b);
+        std::uint64_t *dig = planes.data() +
+            (static_cast<std::size_t>(first) * segments +
+             static_cast<std::size_t>(rs) * n) * windowWords;
+        packBitPlanesBatch(inputs, first, n, rs, tile(rs, 0).usedRows,
+                           dig);
+        const std::size_t len =
+            static_cast<std::size_t>(cfg.dacBits) * words * n;
+        int *lead =
+            leader.data() + static_cast<std::size_t>(task) * phases;
+        for (int p = 0; p < phases; ++p) {
+            lead[p] = p;
+            for (int q = 0; share && q < p; ++q) {
+                if (lead[q] == q &&
+                    std::equal(dig + p * len, dig + (p + 1) * len,
+                               dig + q * len)) {
+                    lead[p] = q;
+                    break;
+                }
+            }
+        }
+    });
+
+    const int chunks = split ? units : 1;
+    const std::int64_t tasks = owners * chunks;
+    const int workers = parallelWorkers(cfg.threads, tasks);
     std::vector<Partial> parts(static_cast<std::size_t>(workers));
     for (auto &part : parts)
         part.tileAdc.assign(tiles.size(), AdcTally{});
-    std::vector<Acc> unitTotals;
-    if (!twosComp)
-        unitTotals.assign(static_cast<std::size_t>(count), 0);
+    std::vector<Acc> unitTotals(
+        twosComp ? 0 : static_cast<std::size_t>(count), 0);
+    // Per-worker landing copies, a cache line apart at least.
+    constexpr std::size_t kLineAccs = kCacheLineBytes / sizeof(Acc);
+    const std::size_t landing =
+        ((out.size() + unitTotals.size()) / kLineAccs + 2) * kLineAccs;
+    std::vector<Acc> spill(
+        split ? static_cast<std::size_t>(workers - 1) * landing : 0, 0);
 
-    parallelFor(blocks, cfg.threads, [&](std::int64_t blk, int w) {
-        const int first = static_cast<int>(blk) * blockSize;
-        runBatchBlock(inputs, first,
-                      std::min(blockSize, count - first),
-                      opSeq0 + static_cast<std::uint64_t>(first),
-                      std::span<Acc>(out),
-                      twosComp ? nullptr : unitTotals.data(),
-                      parts[static_cast<std::size_t>(w)]);
+    parallelFor(tasks, cfg.threads, [&](std::int64_t task, int w) {
+        const int chunk = static_cast<int>(task % chunks);
+        const int cs = static_cast<int>(task / chunks % _colSegments);
+        const std::int64_t b = task / chunks / _colSegments;
+        const int first = blockFirst(b);
+        std::span<Acc> o(out);
+        std::span<Acc> u(unitTotals);
+        if (split && w > 0) {
+            Acc *base =
+                spill.data() + static_cast<std::size_t>(w - 1) * landing;
+            o = std::span<Acc>(base, out.size());
+            u = std::span<Acc>(base + out.size(), unitTotals.size());
+        }
+        runBlockTiles(
+            planes.data() +
+                static_cast<std::size_t>(first) * segments * windowWords,
+            leader.data() + static_cast<std::size_t>(b) * units, first,
+            blockSpan(b), cs, split ? chunk : 0,
+            split ? chunk + 1 : units,
+            opSeq0 + static_cast<std::uint64_t>(first), o, u,
+            parts[static_cast<std::size_t>(w)]);
     });
-
-    EngineStats delta = parts[0].stats;
-    resilience::TransientStats transientDelta = parts[0].transient;
-    std::vector<AdcTally> tileTally(std::move(parts[0].tileAdc));
-    for (std::size_t w = 1; w < parts.size(); ++w) {
-        const auto &part = parts[w];
-        transientDelta.merge(part.transient);
-        delta.crossbarReads += part.stats.crossbarReads;
-        delta.adcSamples += part.stats.adcSamples;
-        delta.shiftAdds += part.stats.shiftAdds;
-        delta.dacActivations += part.stats.dacActivations;
-        for (std::size_t i = 0; i < tileTally.size(); ++i)
-            tileTally[i].merge(part.tileAdc[i]);
-    }
-    AdcTally tally;
-    for (const auto &t : tileTally)
-        tally.merge(t);
-
-    if (!twosComp) {
-        // The same bias inversion dotProduct() applies, per window
-        // (sum(x*w) = sum(y*u) - B*sum(y) - B*sum(u) + R*B^2).
-        Acc totalUsedRows = 0;
-        for (int rs = 0; rs < _rowSegments; ++rs)
-            totalUsedRows += tile(rs, 0).usedRows;
-        std::vector<Acc> sumU(static_cast<std::size_t>(_numOutputs));
-        for (int k = 0; k < _numOutputs; ++k) {
-            const int cs = k / cfg.outputsPerArray();
-            const int o = k % cfg.outputsPerArray();
-            Acc s = 0;
-            for (int rs = 0; rs < _rowSegments; ++rs)
-                s += tile(rs, cs)
-                         .sumBiased[static_cast<std::size_t>(o)];
-            sumU[static_cast<std::size_t>(k)] = s;
-        }
-        for (int i = 0; i < count; ++i) {
-            Acc *row =
-                out.data() + static_cast<std::size_t>(i) * _numOutputs;
-            for (int k = 0; k < _numOutputs; ++k) {
-                row[k] = row[k] -
-                    kWeightBias *
-                        unitTotals[static_cast<std::size_t>(i)] -
-                    kWeightBias * sumU[static_cast<std::size_t>(k)] +
-                    totalUsedRows * kWeightBias * kWeightBias;
-            }
-        }
+    for (std::size_t w = 0; w < spill.size(); w += landing) {
+        for (std::size_t j = 0; j < out.size(); ++j)
+            out[j] += spill[w + j];
+        for (std::size_t j = 0; j < unitTotals.size(); ++j)
+            unitTotals[j] += spill[w + out.size() + j];
     }
 
-    // fastPathActive() implies drift is disabled, so the periodic
-    // refresh accounting dotProduct() performs can never trigger.
-    adc.addTally(tally);
-    publishDelta(static_cast<std::uint64_t>(count), delta, tally,
-                 transientDelta, tileTally);
+    retire(parts, out, unitTotals, opSeq0);
     return out;
 }
 

@@ -34,7 +34,6 @@
 #ifndef ISAAC_XBAR_ENGINE_H
 #define ISAAC_XBAR_ENGINE_H
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -129,14 +128,15 @@ struct EngineConfig
      * injectCellFault() activity, every bitline sum is computed as
      * popcounts over 64-bit bit-planes of the stored levels instead
      * of the scalar O(rows x cols) loop, and the ABFT checksum is
-     * verified digitally from the same packed sums. dotProduct()
-     * reads each distinct phase digit vector of a row segment once
-     * and charges the repeats' counters (phase dedupe, clean engines
-     * only); dotProductBatch() evaluates all of a layer's windows per
-     * tile-phase in one popcount GEMM (xbar/batch_kernel.h). Read
-     * noise rides along: each sampled column of a packed reading gets
-     * the same counter-keyed draw the scalar read adds to it.
-     * Results, EngineStats, per-tile AdcTally, and TransientStats are
+     * verified digitally from the same packed sums. There is one
+     * packed path: dotProductBatch()'s popcount GEMM over blocks of
+     * windows (xbar/batch_kernel.h), and dotProduct() runs as a
+     * one-window block of it. Within a block and row segment, phases
+     * whose packed digit planes are equal across every window share
+     * one GEMM reading (clean engines only). Read noise rides along:
+     * each sampled column of a packed reading gets the same
+     * counter-keyed draw the scalar read adds to it. Results,
+     * EngineStats, per-tile AdcTally, and TransientStats are
      * bit-identical either way (tests assert it); false forces the
      * scalar path, the oracle the packed tier is tested against.
      * Drifting and fault-injected engines always take the scalar
@@ -257,7 +257,9 @@ class BitSerialEngine
      * Execute one full bit-serial dot-product operation: 16/v
      * crossbar read phases against all arrays, ADC conversion, and
      * digital merging. Returns the exact signed dot products, one
-     * per output. Safe to call concurrently from multiple threads.
+     * per output. On the packed tier this is dotProductBatch() with
+     * one window; on the scalar tier it reads phase by phase. Safe to
+     * call concurrently from multiple threads.
      */
     std::vector<Acc> dotProduct(std::span<const Word> inputs) const;
 
@@ -265,23 +267,24 @@ class BitSerialEngine
      * Execute `count` dot products in one batched call: `inputs`
      * holds count concatenated input vectors (window-major,
      * inputs[i * numInputs() + r]) and the result holds the count
-     * concatenated outputs (out[i * numOutputs() + k]). On the fast
-     * path the digit planes of every window are staged once per
-     * (phase, row segment) into a plane-major bit-matrix and each
-     * tile is evaluated for all windows in one popcount GEMM — the
-     * per-call staging and dispatch overhead of dotProduct() is paid
-     * once per layer instead of once per window. Results and every
-     * counter (EngineStats, per-tile AdcTally, TransientStats, array
-     * read cycles) are bit-identical to `count` sequential
+     * concatenated outputs (out[i * numOutputs() + k]). On the packed
+     * tier the windows are split into contiguous blocks; each
+     * block's digit planes are packed once per row segment into a
+     * plane-major bit-matrix, and each tile is evaluated for all of
+     * the block's windows in one popcount GEMM per distinct phase.
+     * The parallel unit is a (window block, column segment) pair;
+     * a call with fewer such pairs than workers (one window, say)
+     * also splits by (row segment, phase). Results and every counter
+     * (EngineStats, per-tile AdcTally, TransientStats, array read
+     * cycles) are bit-identical to `count` sequential scalar
      * dotProduct() calls at any thread count and any dispatch tier,
      * read noise included: window i runs as operation opSeq0 + i of
      * the contiguous range the call claims, which keys its noise
      * draws exactly as the i-th sequential call would. Drifting or
      * fault-injected engines and fastPath = false run the windows (in
-     * parallel) as per-window dotProduct() evaluations under those
-     * same op numbers, so the batch entry point is always safe to use
-     * and never depends on thread timing. Thread-safe like
-     * dotProduct().
+     * parallel) as scalar evaluations under those same op numbers, so
+     * the batch entry point is always safe to use and never depends
+     * on thread timing. Thread-safe like dotProduct().
      */
     std::vector<Acc> dotProductBatch(std::span<const Word> inputs,
                                      int count) const;
@@ -399,8 +402,8 @@ class BitSerialEngine
     bool abftActive(int rs, int cs) const;
 
     /**
-     * True when the packed tier runs (dotProduct()'s packed read,
-     * dotProductBatch()'s GEMM): the fastPath knob is on, the noise
+     * True when the packed tier runs (dotProductBatch()'s GEMM, and
+     * dotProduct() through it): the fastPath knob is on, the noise
      * spec has no drift, and no fault was injected after
      * programming. Read noise does not stand it down. Scalar and
      * packed execution are bit-identical; this only reports which
@@ -439,64 +442,55 @@ class BitSerialEngine
     };
 
     /**
-     * Per-worker accumulator for one dotProduct() call.
-     * Cache-line-aligned: parallelFor hands adjacent elements of a
-     * `std::vector<Partial>` to different workers, so an unaligned
-     * Partial would put two workers' hottest scratch on one line.
+     * Per-worker accumulator for one dotProduct()/dotProductBatch()
+     * call. Cache-line-aligned: parallelFor hands adjacent elements
+     * of a `std::vector<Partial>` to different workers, so an
+     * unaligned Partial would put two workers' hottest scratch on one
+     * line.
      */
     struct alignas(kCacheLineBytes) Partial
     {
-        std::vector<Acc> result;  ///< Phase contributions per output.
-        std::vector<Acc> rawSum;  ///< Biased-mode running totals.
+        /** Scalar path: phase contributions per output (the raw
+         *  biased sums in biased mode) and the unit-column total. */
+        std::vector<Acc> result;
         Acc unitTotal = 0;
         std::vector<int> digits;  ///< Scratch input-digit buffer.
         std::vector<Acc> colQ;    ///< Scratch quantized columns.
         std::vector<Acc> currents; ///< Scratch bitline readings.
-        /** Batched-path scratch: column-major block accumulator
-         *  (numOutputs x n), per-window unit readings, and the
-         *  per-output merged slice sums (runBatchBlock). */
+        /** Packed-path scratch: one tile's GEMM reading (cols x n),
+         *  the column-major block accumulator (localOutputs x n),
+         *  per-window unit readings, data-column code ceilings, and
+         *  merged slice sums (mergeBlockPhase). */
+        std::vector<Acc> curMat;
         std::vector<Acc> batchAcc;
         std::vector<Acc> unitsBatch;
+        std::vector<Acc> dataCeil;
         std::vector<Acc> mergedBatch;
         EngineStats stats;
         resilience::TransientStats transient;
         std::vector<AdcTally> tileAdc; ///< ADC activity per tile.
     };
 
-    /**
-     * The row-segment phases one dotProduct() task evaluates: phases
-     * whose digit vectors are identical share one tile reading (the
-     * first member's) on clean packed engines, and are each a group
-     * of one otherwise.
-     */
-    struct PhaseGroup
-    {
-        int rs = 0;
-        int count = 0;
-        std::array<int, kDataBits> phases{};
-    };
-
     ArrayTile &tile(int rs, int cs);
     const ArrayTile &tile(int rs, int cs) const;
 
     /**
-     * Evaluate a phase group against its row segment into `part`:
-     * each tile is read once for the group's first phase, the other
-     * members are charged that read's counter deltas, and the reading
-     * is merged once per member phase. `planes` holds the group's
-     * packed digit planes on the fast path and is empty on the scalar
-     * path. `opSeq` is this dotProduct() call's operation number;
-     * together with the phase it keys the read-noise draw so any
-     * execution order reproduces the serial noise realization.
+     * The scalar oracle: dotProduct() as operation number `opSeq`
+     * (already claimed), one task per (row segment, phase).
      */
-    void runPhaseGroup(std::span<const Word> inputs,
-                       const PhaseGroup &g,
-                       std::span<const std::uint64_t> planes,
-                       std::uint64_t opSeq, Partial &part) const;
-
-    /** dotProduct() as operation number `opSeq` (already claimed). */
     std::vector<Acc> dotProductAt(std::span<const Word> inputs,
                                   std::uint64_t opSeq) const;
+
+    /**
+     * Finish a call whose windows [0, count) ran as operations
+     * opSeq0 + i: fold the per-worker counters, undo the input bias
+     * per window in biased mode (`out` holds the raw biased sums,
+     * `unitTotals` each window's unit-column total), charge drift
+     * refreshes, and publish the call's delta.
+     */
+    void retire(std::span<const Partial> parts, std::span<Acc> out,
+                std::span<const Acc> unitTotals,
+                std::uint64_t opSeq0) const;
 
     /**
      * Read-noise sequence number of phase p's read attempt `attempt`
@@ -539,18 +533,6 @@ class BitSerialEngine
                           ReadFn readFn) const;
 
     /**
-     * Fresh evaluation of phase p on one tile: evalTileAttempts with
-     * the packed single-vector read of `planes` (the phase's digit
-     * planes) or, when `planes` is empty, the scalar read of
-     * part.digits; operation `opSeq` keys noise and drift.
-     */
-    void evalTilePhase(const ArrayTile &t, int dataCols,
-                       bool checking,
-                       std::span<const std::uint64_t> planes, int p,
-                       std::uint64_t opSeq, Partial &part,
-                       AdcTally &tileTally, Acc &unit) const;
-
-    /**
      * Digital merge of one (phase, tile) reading into a window's
      * accumulators: shift-and-add the slice columns of part.colQ,
      * remove the per-phase weight bias (two's complement) or
@@ -558,45 +540,60 @@ class BitSerialEngine
      * is the window's full result (two's complement) or rawSum
      * (biased) vector; `unitTotal` accumulates the row-side unit
      * readings once per (phase, row segment). Shared verbatim by the
-     * per-window and batched paths.
+     * scalar path and the packed path's ABFT tiles.
      */
     void mergeTilePhase(const ArrayTile &t, int cs, int p, Acc unit,
                         Partial &part, std::span<Acc> acc,
                         Acc &unitTotal) const;
 
     /**
-     * Stage-in for both packed paths (dotProduct() packs its one
-     * window with n = 1): pack ALL 16 data bits of
-     * windows [first, first + n) for row segment rs into one
-     * plane-major bit-matrix dig[(b * words + w) * n + i] (b the bit
-     * of the streamed 16-bit value: the raw two's-complement word,
-     * or the biased value x + 2^15). One pass over the inputs per
-     * (row segment, block) — each input word is read once and its
-     * set bits scattered — instead of one branchy pass per phase.
-     * Phase p's GEMM planes are then the contiguous slice starting
-     * at bit p * dacBits: two's complement streams bit p with a
-     * 1-bit DAC (EngineConfig::validate pins dacBits there) and
-     * biased mode streams digit bits [p*v, (p+1)*v), so in both
-     * modes plane j of phase p is plane p * dacBits + j here. With
-     * n = 1 that slice is exactly the dacBits x planeWords() layout
-     * readAllBitlinesPacked() takes.
+     * Packed stage-in: pack ALL 16 data bits of windows [first,
+     * first + n) for row segment rs into `dig`, a zeroed plane-major
+     * bit-matrix dig[(b * words + w) * n + i] (b the bit of the
+     * streamed 16-bit value: the raw two's-complement word, or the
+     * biased value x + 2^15). One pass over the inputs per (row
+     * segment, block) — each input word is read once and its set
+     * bits scattered — instead of one branchy pass per phase. Phase
+     * p's GEMM planes are then the contiguous slice starting at bit
+     * p * dacBits: two's complement streams bit p with a 1-bit DAC
+     * (EngineConfig::validate pins dacBits there) and biased mode
+     * streams digit bits [p*v, (p+1)*v), so in both modes plane j of
+     * phase p is plane p * dacBits + j here — exactly the layout
+     * readAllBitlinesPackedBatch() takes.
      */
     void packBitPlanesBatch(std::span<const Word> inputs, int first,
                             int n, int rs, int used,
-                            std::vector<std::uint64_t> &dig) const;
+                            std::uint64_t *dig) const;
 
     /**
-     * Fast-path evaluation of one contiguous window block [first,
-     * first + n): per (phase, row segment) one batched packing, per
-     * tile one popcount GEMM (plus window first + i's read-noise
-     * draws as operation firstOp + i), then the shared per-window
-     * digital pass. Results land in the windows' slices of `out`
-     * (rawSum in biased mode, corrected by the caller) and
-     * `unitTotals` (biased mode only, else null); counters in `part`.
+     * Packed evaluation of block [first, first + n) on the tiles of
+     * column segment cs, over the (row segment, phase) units
+     * [unitBegin, unitEnd) (unit rs * phases + p). `planes` holds
+     * each row segment's packed block (rs * n * 16 * words words
+     * apart) and `leader` each unit's reading phase: a leader phase
+     * takes one GEMM read, then it and every phase that shares its
+     * reading run mergeBlockPhase() on it. Results land in the
+     * windows' slices of `out` (raw biased sums in biased mode) and
+     * `unitTotals` (biased mode only); counters in `part`.
      */
-    void runBatchBlock(std::span<const Word> inputs, int first, int n,
-                       std::uint64_t firstOp, std::span<Acc> out,
-                       Acc *unitTotals, Partial &part) const;
+    void runBlockTiles(const std::uint64_t *planes, const int *leader,
+                       int first, int n, int cs, int unitBegin,
+                       int unitEnd, std::uint64_t firstOp,
+                       std::span<Acc> out, std::span<Acc> unitTotals,
+                       Partial &part) const;
+
+    /**
+     * The per-phase pass over tile t's GEMM reading part.curMat of
+     * block [first, first + n) as phase p: counters, read noise
+     * (window first + i draws as operation firstOp + i), then the
+     * ABFT attempt ladder per window, or the vectorized clip-free or
+     * clamped merge. Exact for any phase whose digit planes equal the
+     * ones the reading was taken with.
+     */
+    void mergeBlockPhase(const ArrayTile &t, int cs, int p, int first,
+                         int n, std::uint64_t firstOp,
+                         std::span<Acc> out, std::span<Acc> unitTotals,
+                         Partial &part) const;
 
     /** Program one tile; returns the cell writes performed. */
     std::int64_t programTile(ArrayTile &t,

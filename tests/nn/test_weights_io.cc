@@ -6,6 +6,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -21,20 +24,30 @@ class WeightsIo : public ::testing::Test
 {
   protected:
     void
-    TearDown() override
+    SetUp() override
     {
-        std::remove(kPath);
+        // ctest runs each test as its own process, concurrently under
+        // -j: give every test (and process) its own file.
+        path = ::testing::TempDir() + "isaac_weights_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid());
     }
 
-    static constexpr const char *kPath = "/tmp/isaac_weights_test";
+    void
+    TearDown() override
+    {
+        std::remove(path.c_str());
+    }
+
+    std::string path;
 };
 
 TEST_F(WeightsIo, Raw16RoundTrips)
 {
     const auto net = tinyCnn();
     const auto store = WeightStore::synthesize(net, 17);
-    saveWeightsRaw16(store, net, kPath);
-    const auto loaded = loadWeightsRaw16(net, kPath);
+    saveWeightsRaw16(store, net, path);
+    const auto loaded = loadWeightsRaw16(net, path);
     for (std::size_t i = 0; i < net.size(); ++i)
         EXPECT_EQ(loaded.layer(i), store.layer(i)) << "layer " << i;
 }
@@ -43,11 +56,11 @@ TEST_F(WeightsIo, Raw16RejectsWrongSize)
 {
     const auto net = tinyCnn();
     {
-        std::ofstream out(kPath, std::ios::binary);
+        std::ofstream out(path, std::ios::binary);
         const Word w = 7;
         out.write(reinterpret_cast<const char *>(&w), sizeof(w));
     }
-    EXPECT_THROW(loadWeightsRaw16(net, kPath), FatalError);
+    EXPECT_THROW(loadWeightsRaw16(net, path), FatalError);
     EXPECT_THROW(loadWeightsRaw16(net, "/nonexistent/w.bin"),
                  FatalError);
 }
@@ -61,14 +74,14 @@ TEST_F(WeightsIo, Float32QuantizesAndCountsSaturation)
 
     const FixedFormat fmt{12}; // range ~[-8, 8)
     {
-        std::ofstream out(kPath, std::ios::binary);
+        std::ofstream out(path, std::ios::binary);
         const float values[4] = {0.5f, -1.25f, 100.0f, -0.125f};
         out.write(reinterpret_cast<const char *>(values),
                   sizeof(values));
     }
     std::int64_t saturated = -1;
     const auto store =
-        loadWeightsFloat32(net, kPath, fmt, &saturated);
+        loadWeightsFloat32(net, path, fmt, &saturated);
     EXPECT_EQ(saturated, 1); // the 100.0 clips
     const auto &w = store.layer(0);
     EXPECT_EQ(w[0], toFixed(0.5, fmt));
@@ -82,8 +95,8 @@ TEST_F(WeightsIo, LoadedWeightsDriveTheAcceleratorIdentically)
     // Saving and reloading must not change inference results.
     const auto net = tinyCnn();
     const auto store = WeightStore::synthesize(net, 23);
-    saveWeightsRaw16(store, net, kPath);
-    const auto loaded = loadWeightsRaw16(net, kPath);
+    saveWeightsRaw16(store, net, path);
+    const auto loaded = loadWeightsRaw16(net, path);
 
     const FixedFormat fmt{12};
     ReferenceExecutor a(net, store, fmt);

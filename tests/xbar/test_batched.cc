@@ -14,6 +14,7 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -284,6 +285,36 @@ sweepPoints()
     return points;
 }
 
+/**
+ * The window sets the batched sweep runs at each count: full-range
+ * random windows (one repeated), and sign-extended small magnitudes
+ * whose high phases are equal across the whole block, so phases
+ * share GEMM readings — non-negative (ReLU'd), both signs, all-zero,
+ * all -1 — plus a signed set in which the last window alone breaks
+ * that equality (one large row), so its phases must not share.
+ */
+std::vector<std::pair<std::string, std::vector<Word>>>
+windowSets(Rng &rng, int n, int count)
+{
+    std::vector<std::pair<std::string, std::vector<Word>>> sets;
+    auto full = randomWords(rng, n * count);
+    if (count >= 3)
+        std::copy(full.begin(), full.begin() + n,
+                  full.begin() + static_cast<std::size_t>(2) * n);
+    sets.emplace_back("full", std::move(full));
+    sets.emplace_back("relu", randomWords(rng, n * count, 0, 127));
+    sets.emplace_back("signed", randomWords(rng, n * count, -8, 7));
+    sets.emplace_back("zero", std::vector<Word>(
+                                  static_cast<std::size_t>(n) * count, 0));
+    sets.emplace_back("minus-one",
+                      std::vector<Word>(
+                          static_cast<std::size_t>(n) * count, -1));
+    auto broken = randomWords(rng, n * count, -8, 7);
+    broken[static_cast<std::size_t>(count - 1) * n + 3] = 0x1234;
+    sets.emplace_back("signed-broken", std::move(broken));
+    return sets;
+}
+
 TEST(Batched, GoldenEquivalenceSweep)
 {
     const int n = 200, m = 20; // 2 row segments x >=2 col segments
@@ -296,27 +327,24 @@ TEST(Batched, GoldenEquivalenceSweep)
         scalar.threads = 1;
         scalar.fastPath = false;
 
-        // Counts straddle the block-size clamp (min 8) and include a
-        // repeated window.
+        // Counts straddle the block-size clamp (min 8), so at 2+
+        // threads 13 windows run as blocks of 8 and 5 and the broken
+        // window shares a block with some of the others.
         for (const int count : {1, 5, 13}) {
-            auto inputs = randomWords(rng, n * count);
-            if (count >= 3)
-                std::copy(inputs.begin(), inputs.begin() + n,
-                          inputs.begin() +
-                              static_cast<std::size_t>(2) * n);
-            const auto golden = runSequential(scalar, weights, n, m,
-                                              inputs, count);
-
-            for (const int threads : {1, 2, 4, 8}) {
-                EngineConfig fast = point.cfg;
-                fast.threads = threads;
-                fast.fastPath = true;
-                expectTracesEqual(
-                    golden,
-                    runBatched(fast, weights, n, m, inputs, count),
-                    std::string(point.name) + " count" +
-                        std::to_string(count) + " t" +
-                        std::to_string(threads));
+            for (const auto &[set, inputs] : windowSets(rng, n, count)) {
+                const auto golden = runSequential(scalar, weights, n, m,
+                                                  inputs, count);
+                for (const int threads : {1, 2, 4, 8}) {
+                    EngineConfig fast = point.cfg;
+                    fast.threads = threads;
+                    fast.fastPath = true;
+                    expectTracesEqual(
+                        golden,
+                        runBatched(fast, weights, n, m, inputs, count),
+                        std::string(point.name) + " " + set + " count" +
+                            std::to_string(count) + " t" +
+                            std::to_string(threads));
+                }
             }
         }
     }
@@ -330,7 +358,7 @@ TEST(Batched, GoldenEquivalenceSweep)
  * and dense ones (saturating windows read past the ADC ceiling and
  * every checksum column fails verification), 0 and 2 spare columns,
  * at n in {1, 8, 81, 300} windows, on every compiled kernel tier:
- * the batched GEMM at 1 and 4 threads, the per-window packed read
+ * the batched GEMM at 1 and 4 threads, one-window packed calls
  * serially. Two's complement runs w = 2 cells on 32 columns, biased
  * mode w = 4 cells on 16 (both converters then have headroom only
  * dense stuck-On columns can exceed). One input mode and ABFT
@@ -421,7 +449,7 @@ readNoiseSweep(InputMode mode, bool abft)
                             golden,
                             runSequential(fast, weights, n, m, in,
                                           count),
-                            "per-window " + label);
+                            "one-window " + label);
                     }
                 }
             }
@@ -480,7 +508,7 @@ TEST(Batched, NoisyConfigBatchesWithPerWindowNoise)
 {
     // Read noise runs on the batched GEMM; window i must draw the
     // exact noise stream the i-th sequential call would see, on the
-    // packed per-window path and on the scalar oracle alike.
+    // packed one-window path and on the scalar oracle alike.
     EngineConfig noisy;
     noisy.threads = 1;
     noisy.noise.sigmaLsb = 0.5;

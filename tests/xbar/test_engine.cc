@@ -155,12 +155,21 @@ TEST(Engine, ExactExtremeValues)
     EXPECT_EQ(eng.adcClips(), 0u);
 }
 
+// gtest names each instance after the parameter's raw bytes, so the
+// three bytes after `flip` are spelled out and zeroed: left as padding
+// they held stack garbage and the test names changed between builds.
 struct GeomCase
 {
+    GeomCase(int r, int c, int w, int v, bool f, InputMode md)
+        : rows(r), cols(c), cellBits(w), dacBits(v), flip(f), mode(md)
+    {}
+
     int rows, cols, cellBits, dacBits;
     bool flip;
+    unsigned char pad[3] = {0, 0, 0};
     InputMode mode;
 };
+static_assert(sizeof(GeomCase) == 24, "test names embed GeomCase's bytes");
 
 class EngineGeometry : public ::testing::TestWithParam<GeomCase> {};
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Packed bit-plane fast path + per-call phase dedupe: the golden
+ * Packed bit-plane fast path + phase dedupe: the golden
  * equivalence suite. The fast path is only allowed to exist because
  * it is *invisible* — results, EngineStats, per-tile AdcTally, and
  * TransientStats must be bit-identical to the legacy scalar path for
@@ -12,6 +12,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -361,9 +363,23 @@ TEST(FastPath, CrossbarPackedMatchesScalar)
 
         const auto scalar = xb.readAllBitlines(digits, 0);
         std::vector<Acc> packed;
-        xb.readAllBitlinesPacked(planes, digitBits, packed);
+        xb.readAllBitlinesPackedBatch(planes, digitBits, 1, packed);
         EXPECT_EQ(scalar, packed) << "digitBits " << digitBits;
     }
+}
+
+/** maxPackedReading()'s bound, recomputed from the stored levels. */
+Acc
+bruteForceMaxReading(const CrossbarArray &xb, int digitBits)
+{
+    Acc best = 0;
+    for (int c = 0; c < xb.cols(); ++c) {
+        Acc sum = 0;
+        for (int r = 0; r < xb.rows(); ++r)
+            sum += xb.cell(r, c);
+        best = std::max(best, sum);
+    }
+    return best * ((Acc{1} << digitBits) - 1);
 }
 
 TEST(FastPath, PlaneRebuildAfterMutation)
@@ -375,16 +391,30 @@ TEST(FastPath, PlaneRebuildAfterMutation)
     planes[1] = (std::uint64_t{1} << (70 - 64)) - 1;
 
     std::vector<Acc> out;
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 0);
+    EXPECT_EQ(xb.maxPackedReading(2), 0);
 
     xb.program(69, 2, 3); // last row: exercises the word boundary
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 3);
+    // The cached clip bound follows every stored-level mutation.
+    EXPECT_EQ(xb.maxPackedReading(1), bruteForceMaxReading(xb, 1));
+    EXPECT_EQ(xb.maxPackedReading(2), bruteForceMaxReading(xb, 2));
+    EXPECT_EQ(xb.maxPackedReading(1), 3);
+
+    xb.program(0, 4, 2);
+    xb.program(1, 4, 2);
+    EXPECT_EQ(xb.maxPackedReading(1), bruteForceMaxReading(xb, 1));
+    EXPECT_EQ(xb.maxPackedReading(1), 4);
 
     xb.forceStuck(69, 2, 1);
-    xb.readAllBitlinesPacked(planes, 1, out);
+    xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
     EXPECT_EQ(out[2], 1);
+    xb.forceStuck(5, 4, 3);
+    EXPECT_EQ(xb.maxPackedReading(1), bruteForceMaxReading(xb, 1));
+    EXPECT_EQ(xb.maxPackedReading(4), bruteForceMaxReading(xb, 4));
+    EXPECT_EQ(xb.maxPackedReading(1), 7);
 }
 
 TEST(FastPath, PackedReadPlusNoiseMatchesScalarRead)
@@ -403,7 +433,7 @@ TEST(FastPath, PackedReadPlusNoiseMatchesScalarRead)
     std::vector<std::uint64_t> planes(1, 0xFF);
     for (const std::uint64_t seq : {0ull, 7ull, 1ull << 40}) {
         std::vector<Acc> out;
-        xb.readAllBitlinesPacked(planes, 1, out);
+        xb.readAllBitlinesPackedBatch(planes, 1, 1, out);
         for (int c = 0; c < 3; ++c)
             out[static_cast<std::size_t>(c)] = xb.applyReadNoise(
                 out[static_cast<std::size_t>(c)], seq, c);
@@ -417,7 +447,7 @@ TEST(FastPath, PackedReadPlusNoiseMatchesScalarRead)
     driftSpec.driftLevelsPerOp = 0.1;
     drifty.setNoise(driftSpec);
     std::vector<Acc> out;
-    EXPECT_THROW(drifty.readAllBitlinesPacked(planes, 1, out),
+    EXPECT_THROW(drifty.readAllBitlinesPackedBatch(planes, 1, 1, out),
                  FatalError);
     EXPECT_FALSE(drifty.packedReadExact());
 }
@@ -458,6 +488,26 @@ TEST(FastPath, UnequalPhasesAreNeverShared)
                           inputsFor(a, same, b, same),
                           inputsFor(a, b, a, b)}) {
         EXPECT_EQ(engine.dotProduct(x), oracle.dotProduct(x));
+    }
+
+    // Across a block, phases share only when they match in every
+    // window: here phases 0 and 1 agree in each window but the last
+    // (inputs in {0, 3}), which differs in one row.
+    std::vector<Word> block;
+    for (int w = 0; w < 3; ++w) {
+        const auto x = inputsFor(a, b, a, b);
+        block.insert(block.end(), x.begin(), x.end());
+    }
+    block[static_cast<std::size_t>(2) * 128 + 77] = 1;
+    const auto got = engine.dotProductBatch(block, 3);
+    for (int w = 0; w < 3; ++w) {
+        const std::vector<Acc> want = oracle.dotProduct(
+            std::span<const Word>(block).subspan(
+                static_cast<std::size_t>(w) * 128, 128));
+        EXPECT_EQ(std::vector<Acc>(got.begin() + w * 16,
+                                   got.begin() + (w + 1) * 16),
+                  want)
+            << "window " << w;
     }
     EXPECT_TRUE(engine.stats() == oracle.stats());
     EXPECT_EQ(engine.readCycles(), oracle.readCycles());
